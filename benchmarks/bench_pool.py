@@ -1,20 +1,20 @@
-"""Warm persistent pool vs spawn-per-job scheduling (PR 7).
+"""Warm caller-owned pool vs a cold ephemeral pool per sweep.
 
-Runs the same deterministic job sweep through the two worker-lane
-backends of :func:`repro.runtime.run_parallel`:
+Runs the same deterministic job sweep through the two ways
+:func:`repro.runtime.run_parallel` puts jobs on worker processes:
 
-* **spawn** — the PR-4 supervised path: every job gets a freshly forked
-  worker process with its own heartbeat file, killed when the job ends.
-* **pool**  — a :class:`repro.runtime.WorkerPool` spawned once before
-  the measured window (the "warm" state a long sweep or the serve
-  daemon operates in) and reused for every job.
+* **cold** — ``run_parallel(jobs, max_workers=W, timeout=T)``: the
+  timeout routes the sweep onto an ephemeral ``WorkerPool`` that is
+  spawned for this call and closed before it returns, so the measured
+  window includes forking the workers and tearing them down.
+* **warm** — a :class:`repro.runtime.WorkerPool` spawned once before
+  the measured window (the state a long sweep, the league CLI or the
+  serve daemon operates in) and passed as ``pool=``.
 
-Both lanes enforce identical watchdog semantics (timeouts, heartbeats,
-``error_kind`` taxonomy), so the delta is pure process-lifecycle
-overhead: fork + interpreter teardown per job versus a pipe send of the
-job's cached payload bytes.  The job bodies are seeded pure functions,
-and the bench asserts the two lanes return bit-identical values — the
-speedup carries no semantics caveat.
+Both lanes run the same pool code with the same watchdog (timeouts,
+heartbeats, ``error_kind`` taxonomy), so the delta is pure
+process-lifecycle overhead.  The job bodies are seeded pure functions,
+and the bench asserts the two lanes return bit-identical values.
 
 Usage::
 
@@ -59,55 +59,52 @@ def make_jobs(args: argparse.Namespace) -> list[Job]:
 
 
 def run(args: argparse.Namespace) -> dict:
-    # Lane 1: spawn-per-job.  The timeout routes the batch through the
-    # supervised scheduler, which forks one watchdogged process per job.
-    spawn_jobs = make_jobs(args)
+    # Lane 1: cold.  run_parallel spawns and closes an ephemeral pool.
     start = time.perf_counter()
-    spawn_report = run_parallel(spawn_jobs, max_workers=args.workers,
-                                timeout=args.job_timeout)
-    spawn_seconds = time.perf_counter() - start
-    if spawn_report.n_failed:
-        raise RuntimeError(f"spawn lane failed: {spawn_report.summary()}")
+    cold_report = run_parallel(make_jobs(args), max_workers=args.workers,
+                               timeout=args.job_timeout)
+    cold_seconds = time.perf_counter() - start
+    if cold_report.n_failed:
+        raise RuntimeError(f"cold lane failed: {cold_report.summary()}")
 
     # Lane 2: warm pool.  The warmup run pays worker spawn + first-dispatch
     # costs outside the measured window, as a long-lived sweep would.
     with WorkerPool(max_workers=args.workers) as pool:
-        warm_report = run_parallel(make_jobs(args), pool=pool)
-        if warm_report.n_failed:
-            raise RuntimeError(f"pool warmup failed: {warm_report.summary()}")
-        pool_jobs = make_jobs(args)
+        warmup = run_parallel(make_jobs(args), pool=pool)
+        if warmup.n_failed:
+            raise RuntimeError(f"pool warmup failed: {warmup.summary()}")
         start = time.perf_counter()
-        pool_report = run_parallel(pool_jobs, pool=pool,
+        warm_report = run_parallel(make_jobs(args), pool=pool,
                                    timeout=args.job_timeout)
-        pool_seconds = time.perf_counter() - start
+        warm_seconds = time.perf_counter() - start
         replacements = pool.replacements
-    if pool_report.n_failed:
-        raise RuntimeError(f"pool lane failed: {pool_report.summary()}")
+    if warm_report.n_failed:
+        raise RuntimeError(f"warm lane failed: {warm_report.summary()}")
 
     identical = all(
-        np.array_equal(s.value, p.value)
-        for s, p in zip(spawn_report.results, pool_report.results))
+        np.array_equal(c.value, w.value)
+        for c, w in zip(cold_report.results, warm_report.results))
 
     return {
-        "benchmark": "worker_pool_vs_spawn_per_job",
+        "benchmark": "warm_pool_vs_cold_pool",
         "config": {
             "n_jobs": args.n_jobs, "workers": args.workers,
             "size": args.size, "repeats": args.repeats,
             "job_timeout": args.job_timeout, "seed": args.seed,
             "quick": args.quick,
         },
-        "spawn": {
-            "seconds": spawn_seconds,
-            "jobs_per_s": args.n_jobs / spawn_seconds,
-            "s_per_job": spawn_seconds / args.n_jobs,
+        "cold": {
+            "seconds": cold_seconds,
+            "jobs_per_s": args.n_jobs / cold_seconds,
+            "s_per_job": cold_seconds / args.n_jobs,
         },
-        "pool": {
-            "seconds": pool_seconds,
-            "jobs_per_s": args.n_jobs / pool_seconds,
-            "s_per_job": pool_seconds / args.n_jobs,
+        "warm": {
+            "seconds": warm_seconds,
+            "jobs_per_s": args.n_jobs / warm_seconds,
+            "s_per_job": warm_seconds / args.n_jobs,
             "worker_replacements": replacements,
         },
-        "speedup": spawn_seconds / pool_seconds,
+        "speedup": cold_seconds / warm_seconds,
         "identical_values": identical,
     }
 
@@ -130,8 +127,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--min-speedup", type=float, default=1.0,
                         metavar="X",
                         help="regression gate: exit 1 if the warm pool is "
-                             "not at least X times the spawn-per-job lane "
-                             "(default 1.0: pool must not regress)")
+                             "not at least X times the cold lane "
+                             "(default 1.0: warm must not regress)")
     parser.add_argument("--output", type=Path,
                         default=Path(__file__).resolve().parent.parent / "BENCH_pool.json")
     args = parser.parse_args(argv)
@@ -140,18 +137,18 @@ def main(argv: list[str] | None = None) -> int:
     result = run(args)
     args.output.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
 
-    spawn, pool = result["spawn"], result["pool"]
+    cold, warm = result["cold"], result["warm"]
     print(f"{args.n_jobs} jobs x (tanh({args.size}x{args.size} matmul) "
           f"* {args.repeats}), {args.workers} workers")
-    print(f"spawn-per-job: {spawn['seconds']:.2f}s "
-          f"({1e3 * spawn['s_per_job']:.0f} ms/job)")
-    print(f"warm pool:     {pool['seconds']:.2f}s "
-          f"({1e3 * pool['s_per_job']:.0f} ms/job)  "
+    print(f"cold pool: {cold['seconds']:.2f}s "
+          f"({1e3 * cold['s_per_job']:.0f} ms/job)")
+    print(f"warm pool: {warm['seconds']:.2f}s "
+          f"({1e3 * warm['s_per_job']:.0f} ms/job)  "
           f"({result['speedup']:.2f}x)")
     print(f"bit-identical values: {result['identical_values']}")
     print(f"wrote {args.output}")
     if not result["identical_values"]:
-        print("ERROR: pool lane values diverged from the spawn lane")
+        print("ERROR: warm lane values diverged from the cold lane")
         return 1
     if result["speedup"] < args.min_speedup:
         print(f"ERROR: warm pool speedup {result['speedup']:.2f}x below "

@@ -12,13 +12,13 @@ Examples::
 ``league`` is a subcommand with its own flag surface (rosters, rounds,
 counter-training, ``--resume``); see :mod:`repro.league.cli`.
 
-``--jobs N`` runs the requested experiments as independent cells on the
-process-pool scheduler (:mod:`repro.runtime.scheduler`); output is still
-printed in request order, and a crashed experiment is reported without
-aborting the others.  ``--job-timeout SECONDS`` adds a per-experiment
-wall-clock budget enforced by the watchdog supervisor: a hung cell is
-killed and reported with ``error_kind="timeout"`` instead of stalling
-the whole invocation.
+``--jobs N`` runs the requested experiments as independent cells on a
+worker pool (:mod:`repro.runtime.scheduler`); output is still printed in
+request order, and a crashed experiment is reported without aborting the
+others.  ``--job-timeout SECONDS`` adds a per-experiment wall-clock
+budget enforced by the pool's watchdog: a hung cell is killed and
+reported with ``error_kind="timeout"`` instead of stalling the whole
+invocation.
 
 ``--telemetry-dir DIR`` records the run: ``DIR/manifest.json`` (config,
 seeds, package versions, wall clock, exit status, per-job crash records,
@@ -44,7 +44,7 @@ import contextlib
 import os
 from pathlib import Path
 
-from ..runtime import Job, WorkerPool, run_parallel
+from ..runtime import Job, run_parallel
 from ..telemetry import MANIFEST_NAME, RunManifest, Telemetry, use_telemetry
 from .config import SCALES
 from .fig4 import run_fig4
@@ -76,19 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="budget preset (default: smoke)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1,
-                        help="run the requested experiments on a process pool "
-                             "of this many workers (default 1: sequential)")
+                        help="run the requested experiments on a worker pool "
+                             "of this many processes (default 1: sequential)")
     parser.add_argument("--job-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-experiment wall-clock budget; a hung or "
                              "overrunning experiment is killed and reported "
                              "as a timeout instead of stalling the sweep "
                              "(default: unbounded)")
-    parser.add_argument("--pool", action="store_true",
-                        help="run the sweep on a persistent worker pool "
-                             "(--jobs workers, spawned once and reused for "
-                             "every experiment and retry) instead of "
-                             "spawning a fresh process per job")
     parser.add_argument("--fabric", default=None, metavar="DIR",
                         help="run the sweep on the multi-host job fabric "
                              "rooted at DIR: jobs are executed by whatever "
@@ -148,8 +143,8 @@ def run_experiment(what: str, scale_name: str, seed: int = 0,
                    attacks: list[str] | None = None) -> str:
     """Run one experiment and return its rendered text output.
 
-    Top-level and string-in/string-out so the process-pool scheduler can
-    ship it to a worker.
+    Top-level and string-in/string-out so the scheduler can ship it to a
+    pool worker.
     """
     scale = SCALES[scale_name]
     if what == "table1":
@@ -207,9 +202,6 @@ def main(argv: list[str] | None = None) -> int:
         return league_main(argv[1:])
     parser = build_parser()
     args = apply_resume(parser.parse_args(argv), parser)
-    if args.fabric is not None and args.pool:
-        parser.error("--fabric and --pool are mutually exclusive "
-                     "execution lanes")
     if args.store_dir is not None:
         # Environment, not a parameter: pool workers inherit it on spawn.
         os.environ["REPRO_STORE"] = str(args.store_dir)
@@ -223,21 +215,16 @@ def main(argv: list[str] | None = None) -> int:
             # A --job-timeout also routes a sequential run through the
             # scheduler: the watchdog needs its own worker process to kill.
             if ((args.jobs > 1 and len(args.what) > 1)
-                    or args.job_timeout is not None or args.pool
+                    or args.job_timeout is not None
                     or args.fabric is not None):
                 jobs = [Job(fn=run_experiment,
                             args=(what, args.scale, args.seed,
                                   args.envs, args.games, args.attacks),
                             name=what)
                         for what in args.what]
-                with contextlib.ExitStack() as stack:
-                    pool = None
-                    if args.pool:
-                        pool = stack.enter_context(
-                            WorkerPool(max_workers=max(1, args.jobs)))
-                    report = run_parallel(jobs, max_workers=args.jobs,
-                                          timeout=args.job_timeout, pool=pool,
-                                          fabric_dir=args.fabric)
+                report = run_parallel(jobs, max_workers=args.jobs,
+                                      timeout=args.job_timeout,
+                                      fabric_dir=args.fabric)
                 for what, result in zip(args.what, report.results):
                     print(f"\n##### {what} (scale={scale.name}) #####\n", flush=True)
                     if result.ok:

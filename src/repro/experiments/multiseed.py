@@ -76,7 +76,7 @@ def train_best_of_seeds(env_id: str, victim: ActorCritic, attack: str,
                         max_workers: int = 1, pool=None) -> MultiSeedOutcome:
     """Train ``attack`` with several seeds and keep the strongest one.
 
-    ``max_workers > 1`` runs the seeds on a process pool; results come
+    ``max_workers > 1`` runs the seeds on a worker pool; results come
     back in seed order, so best-seed selection matches the sequential
     path exactly.  ``pool=`` (a :class:`~repro.runtime.WorkerPool`)
     reuses persistent warm workers instead of spawning per sweep —

@@ -28,7 +28,7 @@ from ..defenses import DefenseTrainConfig
 from ..envs import make, make_game
 from ..eval import AttackEvaluation, evaluate_game, evaluate_single_agent
 from ..rl.policy import ActorCritic
-from ..runtime import AsyncVectorEnv, SyncVectorEnv
+from ..runtime import SyncVectorEnv
 from ..store import CODE_VERSION, ArtifactStore, default_store, state_fingerprint
 from ..zoo import get_game_victim, get_victim
 from .config import ExperimentScale
@@ -105,15 +105,9 @@ def attack_config_for(scale: ExperimentScale, seed: int, **overrides) -> AttackC
 
 
 def make_adversary_env(env_id: str, victim: ActorCritic, epsilon: float,
-                       seed: int = 0, n_envs: int = 1, vec: str = "sync"):
-    """Single-agent adversary MDP; ``n_envs > 1`` returns a vector env.
-
-    ``vec`` selects the backend for the multi-lane case: ``"sync"``
-    steps lanes serially in-process, ``"async"`` gives every lane its
-    own worker process over shared-memory batch arrays
-    (:class:`~repro.runtime.AsyncVectorEnv`) — bit-identical results,
-    concurrent stepping.  Async envs own worker processes; call
-    ``close()`` when done (``train_single_agent_attack`` does).
+                       seed: int = 0, n_envs: int = 1):
+    """Single-agent adversary MDP; ``n_envs > 1`` returns a
+    :class:`~repro.runtime.SyncVectorEnv` over that many lanes.
 
     Lane seeds are derived from ``seed`` inside the vector env (see
     :mod:`repro.runtime.vec_env`); the trainer re-seeds it with the
@@ -122,14 +116,9 @@ def make_adversary_env(env_id: str, victim: ActorCritic, epsilon: float,
     def one(lane_seed: int) -> StatePerturbationEnv:
         return StatePerturbationEnv(make(env_id), victim, epsilon=epsilon, seed=lane_seed)
 
-    if vec not in ("sync", "async"):
-        raise ValueError(f"vec must be 'sync' or 'async', got {vec!r}")
     if n_envs <= 1:
         return one(seed)
-    lanes = [one(seed + i) for i in range(n_envs)]
-    if vec == "async":
-        return AsyncVectorEnv(lanes)
-    return SyncVectorEnv(lanes)
+    return SyncVectorEnv([one(seed + i) for i in range(n_envs)])
 
 
 def attack_spec(kind: str, env_id: str, attack: str, config: AttackConfig,
@@ -186,18 +175,13 @@ def _store_attack(store: ArtifactStore, spec: dict, result: AttackResult,
 def train_single_agent_attack(env_id: str, victim: ActorCritic, attack: str,
                               scale: ExperimentScale, seed: int = 0,
                               epsilon: float | None = None, n_envs: int = 1,
-                              vec: str = "sync",
                               callback=None, store: ArtifactStore | None = None,
                               use_cache: bool = True,
                               **config_overrides) -> AttackResult | None:
     """Train one attack against one victim; None for non-learned attacks.
 
     ``n_envs > 1`` collects each PPO batch from that many env copies via
-    the vectorized rollout collector (same samples per iteration);
-    ``vec="async"`` steps those copies in concurrent worker processes
-    over shared memory.  The two backends are bit-identical, so ``vec``
-    deliberately does **not** enter the cache key — an async-trained
-    result serves sync requests and vice versa.
+    the vectorized rollout collector (same samples per iteration).
 
     Results are cached in the artifact store; a cache hit skips training
     entirely.  Passing a ``callback`` disables the cache — a callback
@@ -217,22 +201,17 @@ def train_single_agent_attack(env_id: str, victim: ActorCritic, attack: str,
         if cached is not None:
             return cached
     adv_env = make_adversary_env(env_id, victim, epsilon, seed=seed,
-                                 n_envs=n_envs, vec=vec)
-    try:
-        if spec["family"] == "sarl":
-            result = train_sarl(adv_env, config, callback=callback)
-        elif spec["family"] == "apmarl":
-            # AP-MARL is the shared trainer with no regularizer; on a
-            # StatePerturbationEnv it doubles as a policy-optimization
-            # perturbation baseline (the league's population uses it).
-            result = train_apmarl(adv_env, config, callback=callback)
-        else:
-            result = train_imap(adv_env, spec["regularizer"], config,
-                                use_bias_reduction=spec["use_br"], callback=callback)
-    finally:
-        close = getattr(adv_env, "close", None)
-        if callable(close):
-            close()  # async backend: stop the lane worker processes
+                                 n_envs=n_envs)
+    if spec["family"] == "sarl":
+        result = train_sarl(adv_env, config, callback=callback)
+    elif spec["family"] == "apmarl":
+        # AP-MARL is the shared trainer with no regularizer; on a
+        # StatePerturbationEnv it doubles as a policy-optimization
+        # perturbation baseline (the league's population uses it).
+        result = train_apmarl(adv_env, config, callback=callback)
+    else:
+        result = train_imap(adv_env, spec["regularizer"], config,
+                            use_bias_reduction=spec["use_br"], callback=callback)
     if cacheable:
         _store_attack(store, key_spec, result, config)
     return result

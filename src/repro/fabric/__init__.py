@@ -16,9 +16,9 @@ number of worker daemons on any number of hosts drain together:
   ``orphaned``/``lease_lost`` churn, worker heartbeats, and successful
   results deduplicated through the content-addressed store.
 * :mod:`~repro.fabric.worker` — the daemon
-  (``python -m repro.fabric.worker SHARED_DIR``): claim → execute under
-  the PR 4 supervisor (same ``error_kind`` taxonomy) → fencing-checked
-  commit.
+  (``python -m repro.fabric.worker SHARED_DIR``): claim → execute on a
+  one-worker ``WorkerPool`` (same watchdog and ``error_kind`` taxonomy)
+  → fencing-checked commit.
 * :mod:`~repro.fabric.submit` — the ``run_parallel(fabric_dir=)`` side:
   enqueue, poll, and degrade to inline execution (through the same
   lease protocol) when no live worker appears within a grace window.

@@ -13,9 +13,9 @@ mtime every ``renew_interval`` and re-checks fencing; the daemon's own
 liveness heartbeat (``workers/<id>``) is renewed by a second thread so
 submitters can tell "workers exist but are busy" from "no workers".
 
-Execution reuses the PR 4 supervisor verbatim: the job runs in a child
-process under :func:`~repro.runtime.supervisor.run_supervised` with the
-entry's per-job ``timeout``, so a hung cell is killed and classified
+Execution reuses the scheduler's process lane: the job runs on a
+one-worker :class:`~repro.runtime.pool.WorkerPool` with the entry's
+per-job ``timeout``, so a hung cell is killed and classified
 ``error_kind="timeout"`` on whatever host it ran.  Results are committed
 through :class:`~repro.fabric.queue.FabricQueue` — successes into the
 content-addressed store (identical specs from racing hosts converge to
@@ -201,8 +201,8 @@ class FabricWorker:
 
     def _run_payload(self, entry: JobEntry, payload: bytes):
         """Execute the payload exactly as the scheduler's lanes would."""
+        from ..runtime import WorkerPool
         from ..runtime.scheduler import JobResult, _execute_payload
-        from ..runtime.supervisor import run_supervised
 
         if not self.supervise:
             return _execute_payload(payload)
@@ -213,7 +213,8 @@ class FabricWorker:
                              error=f"{type(exc).__name__}: {exc}",
                              traceback=traceback.format_exc(),
                              error_kind="pickling")
-        results, _ = run_supervised([job], max_workers=1, timeout=entry.timeout)
+        with WorkerPool(max_workers=1) as pool:
+            results, _ = pool.run([job], timeout=entry.timeout)
         return results[0]
 
     def _execute(self, entry: JobEntry, lease: Lease) -> None:

@@ -18,7 +18,7 @@ on demand, reproducibly:
   heartbeat into the past (→ a clock-skew steal the fenced owner must
   survive by abandoning its result).
 
-``tests/test_chaos.py`` drives the scheduler, supervisor, health
+``tests/test_chaos.py`` drives the scheduler, worker pool, health
 guards, and store through these faults.
 """
 

@@ -38,7 +38,7 @@ class FaultSpec:
     """One fault to inject into ``env.step``.
 
     ``kind`` — ``raise`` (throw :class:`FaultInjectionError`), ``hang``
-    (sleep ``hang_seconds``; pair with a supervisor timeout), or ``nan``
+    (sleep ``hang_seconds``; pair with a job timeout), or ``nan``
     (poison the returned observation and reward with NaN, the input the
     numerical-health guards must catch).
 
@@ -162,7 +162,7 @@ class WorkerFault:
     """Picklable job-function wrapper that sabotages the worker process.
 
     ``kind``: ``crash`` (``os._exit(exit_code)`` — the process dies with
-    no exception, no result; under a pool this breaks the whole pool),
+    no exception, no result; a worker pool replaces the dead worker),
     ``hang`` (sleep before running; pair with a timeout), or ``raise``
     (ordinary in-band exception).  The fault fires on the first
     ``times`` calls *across all processes* (marker-file claimed), after

@@ -54,13 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pgd-steps", type=int, default=None,
                         help="inner PGD steps for the white-box attackers")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="matches scheduled concurrently (default 1: inline)")
+                        help="matches scheduled concurrently on one worker "
+                             "pool held across rounds (default 1: inline)")
     parser.add_argument("--job-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-match wall-clock budget (watchdog-enforced)")
-    parser.add_argument("--pool", action="store_true",
-                        help="run matches on a persistent worker pool instead "
-                             "of a fresh process per job")
     parser.add_argument("--fabric", default=None, metavar="DIR",
                         help="run matches on the multi-host job fabric at DIR")
     parser.add_argument("--store-dir", default=None, metavar="DIR",
@@ -107,9 +105,6 @@ def _config_from_args(args, parser) -> LeagueConfig:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.fabric is not None and args.pool:
-        parser.error("--fabric and --pool are mutually exclusive "
-                     "execution lanes")
     try:
         config = _config_from_args(args, parser)
     except ValueError as exc:
@@ -134,8 +129,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with context, contextlib.ExitStack() as stack:
             pool = None
-            if args.pool:
-                pool = stack.enter_context(WorkerPool(max_workers=max(1, args.jobs)))
+            if args.jobs > 1 and args.fabric is None:
+                # One warm pool for every round, not a fresh one per round.
+                pool = stack.enter_context(WorkerPool(max_workers=args.jobs))
             result = run_league(config, store=store, out_dir=args.out,
                                 jobs=args.jobs, pool=pool,
                                 fabric_dir=args.fabric,

@@ -3,7 +3,7 @@
 One round = the full attackers × entrants matrix.  Every pairing's
 canonical match doc is checked against the store first — only misses
 become :class:`~repro.runtime.Job`\\ s, scheduled through
-:func:`~repro.runtime.run_parallel` (so ``--jobs``, a persistent
+:func:`~repro.runtime.run_parallel` (so ``jobs=``, a caller-owned
 ``pool=``, and a multi-host ``fabric_dir=`` all compose for free).
 Because match keys contain no round number, a resumed or replayed league
 re-reads every completed match from the store and schedules nothing.

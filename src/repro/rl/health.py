@@ -12,7 +12,7 @@ explicit magnitude bound), **before** the bad state reaches the
 optimizer step's checkpoint — so the last on-disk checkpoint is healthy
 by construction and the scheduler can classify the failure as
 ``error_kind="numerical"`` and retry from it (see
-:mod:`repro.runtime.supervisor`).
+:mod:`repro.runtime.scheduler`).
 
 The checks are single ``np.isfinite(...).all()`` reductions over arrays
 the loop already holds; their cost is noise next to a forward/backward

@@ -1,18 +1,14 @@
 """Sweep temp-dir debris left by SIGKILLed *parent* processes.
 
-The pool and the async vector env both clean up after their own dead
-children, and ``weakref.finalize`` covers graceful parent exit — but a
-SIGKILLed parent runs no finalizers, leaving ``repro-pool-*`` heartbeat
-directories and ``repro-shm-*`` arena segments on disk (a real leak on
-``/dev/shm``, which is RAM).  The fix is ownership stamps plus a sweep
-at the next opportunity:
+The pool cleans up after its own dead children, and ``weakref.finalize``
+covers graceful parent exit — but a SIGKILLed parent runs no finalizers,
+leaving ``repro-pool-*`` heartbeat directories on disk.  The fix is an
+ownership stamp plus a sweep at the next opportunity:
 
 * every :class:`~repro.runtime.pool.WorkerPool` writes its pid into
-  ``owner.pid`` inside its heartbeat directory, and every
-  :class:`~repro.runtime.shm.ShmArena` bakes the creating pid into the
-  segment's filename (``repro-shm-<pid>-…``);
-* the next pool / async env constructed in the same temp dir removes any
-  entry whose recorded owner pid is **dead**.
+  ``owner.pid`` inside its heartbeat directory;
+* the next pool constructed in the same temp dir removes any directory
+  whose recorded owner pid is **dead**.
 
 Only provably-orphaned entries are touched: an unreadable or missing
 owner stamp means the entry is skipped (it may belong to a different
@@ -28,9 +24,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from .shm import default_shm_dir
-
-__all__ = ["pid_alive", "sweep_stale_pool_dirs", "sweep_stale_shm_segments"]
+__all__ = ["pid_alive", "sweep_stale_pool_dirs"]
 
 OWNER_FILE = "owner.pid"
 
@@ -74,28 +68,4 @@ def sweep_stale_pool_dirs(root: str | Path | None = None) -> list[Path]:
         shutil.rmtree(candidate, ignore_errors=True)
         if not candidate.exists():
             removed.append(candidate)
-    return removed
-
-
-def sweep_stale_shm_segments(dir: str | None = None) -> list[Path]:
-    """Remove ``repro-shm-<pid>-*`` segments whose creator pid is dead."""
-    root = Path(dir or default_shm_dir())
-    removed: list[Path] = []
-    try:
-        candidates = sorted(root.glob("repro-shm-*"))
-    except OSError:
-        return removed
-    for candidate in candidates:
-        parts = candidate.name.split("-")
-        # repro-shm-<pid>-<mkstemp suffix>; older unstamped names are
-        # skipped — without a pid there is no safe ownership claim.
-        if len(parts) < 4 or not parts[2].isdigit():
-            continue
-        if pid_alive(int(parts[2])):
-            continue
-        try:
-            candidate.unlink()
-            removed.append(candidate)
-        except OSError:
-            continue
     return removed

@@ -1,31 +1,38 @@
-"""Persistent worker pool: long-lived processes reused across sweeps.
+"""Persistent worker pool: the one process lane of the scheduler.
 
-The plain scheduler path spawns a fresh process per job attempt (the
-``ProcessPoolExecutor`` is rebuilt per :func:`~repro.runtime.scheduler.
-run_parallel` call, and the supervisor spawns one process per job), so a
-grid of short cells pays a fork + import + policy-unpickle tax on every
-attempt.  :class:`WorkerPool` keeps ``max_workers`` worker processes
-alive across *any number* of ``run_parallel(pool=...)`` calls: each job
-is shipped once as cached pickle bytes (:meth:`~repro.runtime.scheduler.
-Job.payload`) over an always-open duplex pipe, executed, and the worker
-goes back to the idle set.
+:func:`~repro.runtime.scheduler.run_parallel` runs every job that needs
+a separate process on a :class:`WorkerPool` — a caller-owned one passed
+as ``pool=`` and reused across any number of sweeps, or an ephemeral one
+it creates for a single call.  Each job is shipped once as cached pickle
+bytes (:meth:`~repro.runtime.scheduler.Job.payload`) over an always-open
+duplex pipe, executed, and the worker goes back to the idle set.
 
-Supervision matches the PR 4 watchdog exactly — same heartbeat files,
-same ``error_kind`` taxonomy, same SIGTERM→SIGKILL escalation:
+The pool is also the watchdog:
 
 * worker dead without a result → ``error_kind="crash"`` (exit code
   recorded) and the worker is **replaced** without losing the pool;
-* per-job ``timeout`` / sweep ``deadline`` exceeded → kill + replace,
-  ``error_kind="timeout"``;
+* per-job ``timeout`` / sweep ``deadline`` exceeded → SIGTERM, then
+  SIGKILL, then replace; ``error_kind="timeout"``;
 * heartbeat file stale for ``heartbeat_timeout`` → the worker process is
-  wedged (SIGSTOP, D-state I/O) → same kill path.
+  wedged (SIGSTOP, D-state I/O) even though it is alive → same kill path.
+
+Workers touch their heartbeat file from a daemon thread every
+``heartbeat_interval`` seconds, so a hung *job function* (which still
+yields the GIL) keeps beating and is caught by the per-job timeout,
+while a wedged *process* stops beating and is caught by the heartbeat
+check.
+
+:meth:`WorkerPool.run` sleeps in :func:`multiprocessing.connection.wait`
+on the busy workers' pipes and process sentinels, so a result or a death
+wakes it at once; the wait times out only at the next per-job kill time,
+the sweep deadline, or — with ``heartbeat_timeout`` set — the next
+heartbeat check.
 
 Replacement is observable (:attr:`WorkerPool.replacements` and the
 interventions list) but results are not affected: a job is a pure
 function of its payload, so a re-dispatched job returns bit-identical
-values no matter which worker ran it — the pool-vs-spawn determinism
-suite in ``tests/test_determinism.py`` asserts this, including across a
-replacement.
+values no matter which worker ran it — ``tests/test_determinism.py``
+asserts this, including across a replacement.
 
 Heartbeat files live in one pool-owned temporary directory that is
 removed on :meth:`close`; a worker killed mid-job has its file removed
@@ -39,6 +46,7 @@ schedule independent single-job sweeps onto one warm pool.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import tempfile
 import threading
@@ -46,23 +54,35 @@ import time
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from pathlib import Path
 
-import multiprocessing
-
-from .supervisor import (
-    DEFAULT_HEARTBEAT_INTERVAL,
-    _TERM_GRACE,
-    _heartbeat_loop,
-    _touch,
-)
-
 __all__ = ["WorkerPool"]
+
+# How often a worker's daemon thread touches its heartbeat file.
+DEFAULT_HEARTBEAT_INTERVAL = 0.25
+# How long after SIGTERM before escalating to SIGKILL.
+_TERM_GRACE = 0.5
+# While another run() holds some of the pool's workers, re-check for a
+# free one this often (the idle set has no pipe to wait on).
+_CHECKOUT_POLL = 0.05
 
 # Give up on a job whose dispatch keeps landing on dead workers (each
 # failed dispatch already replaced the worker, so >2 means something is
 # systematically wrong with the pool, not with one worker).
 _MAX_DISPATCH_ATTEMPTS = 3
+
+
+def _touch(path: Path) -> None:
+    try:
+        path.touch()
+    except OSError:
+        pass  # heartbeat is advisory; never kill the job over it
+
+
+def _heartbeat_loop(path: Path, interval: float, stop: threading.Event) -> None:
+    while not stop.wait(interval):
+        _touch(path)
 
 
 def _pool_worker(conn, heartbeat_path: str, heartbeat_interval: float) -> None:
@@ -72,16 +92,14 @@ def _pool_worker(conn, heartbeat_path: str, heartbeat_interval: float) -> None:
     worker unpickles and executes it, answering ``(index, JobResult)``.
     A ``("stop",)`` message or a closed pipe ends the loop.
     """
-    import threading as _threading
-
     from .scheduler import JobResult, _execute_payload
 
-    stop = _threading.Event()
+    stop = threading.Event()
     path = Path(heartbeat_path)
     _touch(path)
-    _threading.Thread(target=_heartbeat_loop,
-                      args=(path, heartbeat_interval, stop),
-                      daemon=True).start()
+    threading.Thread(target=_heartbeat_loop,
+                     args=(path, heartbeat_interval, stop),
+                     daemon=True).start()
     try:
         while True:
             try:
@@ -127,15 +145,10 @@ class _Busy:
 class WorkerPool:
     """``max_workers`` persistent supervised workers shared across sweeps."""
 
-    def __init__(self, max_workers: int = 2, mp_context=None,
-                 heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-                 poll_interval: float = 0.02):
-        if isinstance(mp_context, str):
-            mp_context = multiprocessing.get_context(mp_context)
-        self._ctx = mp_context or multiprocessing.get_context()
+    def __init__(self, max_workers: int = 2,
+                 heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL):
         self.max_workers = max(1, int(max_workers))
         self.heartbeat_interval = heartbeat_interval
-        self.poll_interval = poll_interval
         # Before claiming our own heartbeat dir, sweep ones orphaned by a
         # SIGKILLed parent — TemporaryDirectory's finalizer never ran there.
         from .janitor import OWNER_FILE, sweep_stale_pool_dirs
@@ -155,9 +168,9 @@ class WorkerPool:
         self.jobs_run = 0
         for _ in range(self.max_workers):
             self._idle.append(self._spawn())
-        # Workers are non-daemon (jobs may spawn their own children, e.g.
-        # async vector envs), so an unclosed pool would hang interpreter
-        # exit on multiprocessing's child join.  The finalizer stops them.
+        # Workers are non-daemon (jobs may spawn their own children), so
+        # an unclosed pool would hang interpreter exit on
+        # multiprocessing's child join.  The finalizer stops them.
         self._finalizer = weakref.finalize(
             self, WorkerPool._shutdown, self._live, self._tmp)
 
@@ -165,9 +178,9 @@ class WorkerPool:
 
     def _spawn(self) -> _Worker:
         wid, self._next_wid = self._next_wid, self._next_wid + 1
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
         heartbeat = self._root / f"worker-{wid}.heartbeat"
-        process = self._ctx.Process(
+        process = multiprocessing.Process(
             target=_pool_worker,
             args=(child_conn, str(heartbeat), self.heartbeat_interval),
             daemon=False)
@@ -207,7 +220,7 @@ class WorkerPool:
     def _checkout(self, want: int, block: bool) -> list[_Worker]:
         with self._cond:
             while block and not self._idle and not self._closed:
-                self._cond.wait(0.05)
+                self._cond.wait(_CHECKOUT_POLL)
             if self._closed:
                 raise RuntimeError("WorkerPool is closed")
             take = min(want, len(self._idle))
@@ -227,11 +240,10 @@ class WorkerPool:
             heartbeat_timeout: float | None = None) -> tuple[list, list[dict]]:
         """Execute ``jobs`` on the pool; ``(results, interventions)``.
 
-        Same semantics as :meth:`repro.runtime.supervisor.Supervisor.run`
-        — per-job ``timeout`` (``Job.timeout`` overrides), batch
-        ``deadline``, stale-heartbeat kills — except workers are reused
-        instead of spawned, and a killed or crashed worker is replaced so
-        the pool never shrinks.
+        Per-job ``timeout`` (``Job.timeout`` overrides), batch
+        ``deadline`` and stale-heartbeat kills as described in the module
+        docstring; a killed or crashed worker is replaced so the pool
+        never shrinks.
         """
         from .scheduler import JobResult
 
@@ -311,7 +323,23 @@ class WorkerPool:
                         worker=worker, started=now,
                         kill_at=None if job_timeout is None
                         else now + job_timeout)
-                # Poll the running jobs, supervisor-style.
+                if not busy:
+                    continue
+                # Sleep until a busy worker answers or dies, or until the
+                # next moment a watchdog rule could fire.
+                wake = [entry.kill_at for entry in busy.values()
+                        if entry.kill_at is not None]
+                if expire_at is not None:
+                    wake.append(expire_at)
+                if heartbeat_timeout is not None:
+                    wake.append(now + self.heartbeat_interval)
+                if queue and len(busy) < self.max_workers:
+                    wake.append(now + _CHECKOUT_POLL)
+                wait([entry.worker.conn for entry in busy.values()]
+                     + [entry.worker.process.sentinel for entry in busy.values()],
+                     max(0.0, min(wake) - time.monotonic()) if wake else None)
+                sweep_expired = (expire_at is not None
+                                 and time.monotonic() >= expire_at)
                 for index, entry in list(busy.items()):
                     now = time.monotonic()
                     worker = entry.worker
@@ -360,8 +388,6 @@ class WorkerPool:
                             "heartbeat-kill")
                         held.append(self._replace(worker))
                         del busy[index]
-                if queue or busy:
-                    time.sleep(self.poll_interval)
         finally:
             self._checkin(held)
         self.jobs_run += len(jobs)
@@ -371,7 +397,7 @@ class WorkerPool:
                          now: float) -> bool:
         if heartbeat_timeout is None:
             return False
-        # Grace period from dispatch, matching the supervisor's spawn grace.
+        # Grace period from dispatch: the worker may not have beaten yet.
         if now - entry.started < max(heartbeat_timeout,
                                      2 * self.heartbeat_interval):
             return False

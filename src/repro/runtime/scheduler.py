@@ -1,33 +1,32 @@
-"""Process-pool experiment scheduler with fault containment.
+"""Experiment scheduler with fault containment.
 
 Experiment grids (attacks × victims × seeds) are embarrassingly
 parallel: every cell is a pure function of its arguments and its seed.
-:func:`run_parallel` executes a list of :class:`Job`\\ s on a
-``ProcessPoolExecutor``, capturing per-job wall clock and turning worker
-crashes into structured :class:`JobResult` errors instead of killing the
-sweep.  ``max_workers <= 1`` runs the jobs inline in the parent process
-(bit-identical to the pre-scheduler sequential code path).
+:func:`run_parallel` executes a list of :class:`Job`\\ s on one of three
+lanes, chosen once per call:
 
-Containment layers (each opt-in, so the no-fault fast path is untouched):
+* **inline** — ``max_workers <= 1`` or a single job, and no watchdog
+  knob set: a plain for-loop in the parent process, no pickling;
+* **worker pool** — everything else: a caller-owned
+  :class:`~repro.runtime.pool.WorkerPool` (``pool=``) or an ephemeral
+  one for this call.  The pool is the watchdog — per-job ``timeout=`` /
+  ``Job.timeout``, sweep ``deadline=`` and ``heartbeat_timeout=`` kill
+  hung or stalled workers — and it replaces a worker that died, so a
+  crash fails exactly the job that caused it;
+* **fabric** — ``fabric_dir=`` hands the batch to :mod:`repro.fabric`.
 
-* **Deadlines** — per-job ``timeout=`` (or ``Job.timeout``) and a
-  sweep-level ``deadline=`` route execution through the
-  :class:`~repro.runtime.supervisor.Supervisor` watchdog: hung or
-  stalled workers are killed and reported as ``error_kind="timeout"``
-  instead of stalling ``future.result()`` forever.
+Every retry round of a call runs on the lane its first round used, so a
+job that crashed its worker is never retried in the parent process.
+
 * **Error taxonomy** — every failed :class:`JobResult` carries
-  ``error_kind`` ∈ ``crash | timeout | numerical | pickling |
-  pool_broken`` so sweep tooling can retry, reroute, or alert per class.
+  ``error_kind`` ∈ :data:`ERROR_KINDS` so sweep tooling can retry,
+  reroute, or alert per class.
 * **Retries with seeded backoff** — ``retries=k`` requeues failures up
   to k more times; ``retry_backoff=b`` sleeps ``b·2^(round-1)`` seconds
   with deterministic ``SeedSequence``-seeded jitter between rounds.
   A ``numerical`` failure (see :mod:`repro.rl.health`) retried with
   checkpointing enabled resumes from its last *healthy* checkpoint —
   the guards fire before a poisoned iteration can checkpoint.
-* **Pool degradation** — a ``BrokenProcessPool`` fails innocent queued
-  jobs too; those are requeued on a rebuilt pool for free (not charged
-  against ``retries``), and a twice-broken pool falls back to inline
-  serial execution with a telemetry warning instead of failing the sweep.
 
 Seed derivation for sweeps uses ``np.random.SeedSequence`` so job seeds
 are statistically independent regardless of how the grid is enumerated
@@ -41,7 +40,6 @@ import dataclasses
 import pickle
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -49,18 +47,42 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from ..telemetry import current_telemetry
-from .supervisor import ERROR_KINDS, classify_exception, run_supervised
+from .pool import WorkerPool
 
 __all__ = [
     "Job", "JobResult", "ScheduleReport", "run_parallel", "derive_job_seeds",
-    "compute_backoff", "ERROR_KINDS",
+    "compute_backoff", "ERROR_KINDS", "WorkerTimeout", "classify_exception",
 ]
 
-# How many times one run_parallel call will rebuild a broken pool before
-# giving up on requeueing pool_broken failures.
-MAX_POOL_REBUILDS = 3
-# Pool breakages after which the sweep degrades to inline serial execution.
-DEGRADE_AFTER_POOL_BREAKS = 2
+# The structured failure taxonomy.  The last three only ever originate
+# from repro.fabric lease churn and queue damage.
+ERROR_KINDS = ("crash", "timeout", "numerical", "pickling",
+               "lease_lost", "orphaned", "queue_corrupt")
+
+
+class WorkerTimeout(TimeoutError):
+    """A job exceeded its per-job timeout or the sweep deadline."""
+
+
+def classify_exception(exc: BaseException) -> str:
+    """Map an exception to the structured ``error_kind`` taxonomy.
+
+    Matching on class *names* as well as classes keeps this usable on
+    exceptions that crossed a process boundary or would otherwise drag in
+    circular imports (``NumericalDivergence`` lives in ``repro.rl``).
+    """
+    name = type(exc).__name__
+    if isinstance(exc, pickle.PicklingError) or "pickle" in str(exc).lower():
+        return "pickling"
+    if name == "NumericalDivergence":
+        return "numerical"
+    if name == "LeaseLost":  # repro.fabric.lease — fenced mid-execution
+        return "lease_lost"
+    if name == "QueueCorrupt":  # repro.fabric.queue — damaged entry/payload
+        return "queue_corrupt"
+    if isinstance(exc, TimeoutError):
+        return "timeout"
+    return "crash"
 
 
 def derive_job_seeds(base_seed: int, n_jobs: int) -> list[int]:
@@ -116,8 +138,8 @@ class Job:
     # fn must accept those keywords (train_ppo / AdversaryTrainer.train do).
     checkpointable: bool = False
     # Per-job wall-clock budget in seconds; overrides run_parallel's
-    # timeout= for this job.  Any timeout routes the batch through the
-    # watchdog supervisor (per-job worker processes, kill on expiry).
+    # timeout= for this job.  Any timeout routes the batch onto a worker
+    # pool, whose watchdog kills the worker on expiry.
     timeout: float | None = None
     # Serialized form of this job, filled lazily by payload() and reused
     # verbatim by every retry/requeue — the fix for re-pickling a large
@@ -128,9 +150,9 @@ class Job:
     def payload(self) -> bytes:
         """This job's pickle, serialized exactly once and cached.
 
-        The executor and pool paths ship ``payload()`` bytes instead of
-        the job object, so requeues and retries of the same job never
-        re-serialize its (possibly policy-sized) arguments.
+        The pool and fabric lanes ship ``payload()`` bytes instead of the
+        job object, so retries of the same job never re-serialize its
+        (possibly policy-sized) arguments.
         """
         if self._payload is None:
             self._payload = pickle.dumps(self)
@@ -155,9 +177,7 @@ class JobResult:
     traceback: str | None = None
     duration: float = 0.0
     attempts: int = 1
-    # Structured failure taxonomy (None while ok):
-    # crash | timeout | numerical | pickling | pool_broken
-    # | lease_lost | orphaned | queue_corrupt   (fabric lanes only)
+    # Structured failure taxonomy (None while ok): one of ERROR_KINDS.
     error_kind: str | None = None
 
 
@@ -170,8 +190,8 @@ class ScheduleReport:
     max_workers: int
     # Failed attempts that were requeued: (attempt_number, JobResult).
     retried: list[tuple[int, JobResult]] = field(default_factory=list)
-    # True if repeated pool breakage (or a worker-less fabric) forced
-    # inline serial execution; degraded_reason says which.
+    # True if a worker-less fabric forced inline execution;
+    # degraded_reason says why.
     degraded: bool = False
     degraded_reason: str = ""
     # Watchdog actions (kills, deadline drops) taken during the run.
@@ -268,12 +288,9 @@ def _record_schedule(telemetry, report: ScheduleReport) -> None:
             "error": result.error, "error_kind": result.error_kind,
         }, perf={"duration": result.duration})
     if report.degraded:
-        telemetry.metrics.counter("scheduler.pool_degraded").inc()
-        telemetry.event("schedule.degraded", payload={
-            "reason": report.degraded_reason
-                      or "process pool broke repeatedly; "
-                         "falling back to inline serial execution",
-        })
+        telemetry.metrics.counter("scheduler.degraded").inc()
+        telemetry.event("schedule.degraded",
+                        payload={"reason": report.degraded_reason})
     for result in report.results:
         telemetry.metrics.counter(
             "scheduler.jobs_ok" if result.ok else "scheduler.jobs_failed").inc()
@@ -314,48 +331,8 @@ def _prepare_jobs(jobs: list[Job], checkpoint_dir, checkpoint_every: int) -> lis
     return prepared
 
 
-def _run_batch(jobs: list[Job], max_workers: int, mp_context,
-               force_pool: bool = False) -> list[JobResult]:
-    """One pass over ``jobs``: inline when serial, else via a process pool.
-
-    ``force_pool`` disables the small-batch inline shortcut (it never
-    overrides ``max_workers <= 1``): a requeued job whose first attempt
-    broke a pool may crash its process again, and inlining it would take
-    the parent down with it.
-    """
-    if max_workers <= 1 or (len(jobs) <= 1 and not force_pool):
-        return [_execute_job(job) for job in jobs]
-    if isinstance(mp_context, str):
-        import multiprocessing
-
-        mp_context = multiprocessing.get_context(mp_context)
-    results: list[JobResult | None] = [None] * len(jobs)
-    with ProcessPoolExecutor(max_workers=min(max_workers, len(jobs)),
-                             mp_context=mp_context) as pool:
-        futures = {}
-        for i, job in enumerate(jobs):
-            try:
-                # Ship the cached payload, not the job: a retried job is
-                # serialized once for its whole lifetime, not per attempt.
-                futures[pool.submit(_execute_payload, job.payload())] = i
-            except Exception as exc:  # unpicklable job, pool already broken, ...
-                results[i] = JobResult(name=job.name, ok=False,
-                                       error=f"{type(exc).__name__}: {exc}",
-                                       traceback=traceback.format_exc(),
-                                       error_kind=classify_exception(exc))
-        for future, i in futures.items():
-            try:
-                results[i] = future.result()
-            except Exception as exc:  # worker death (BrokenProcessPool), pickling
-                results[i] = JobResult(name=jobs[i].name, ok=False,
-                                       error=f"{type(exc).__name__}: {exc}",
-                                       traceback=traceback.format_exc(),
-                                       error_kind=classify_exception(exc))
-    return [r for r in results if r is not None]
-
-
 def run_parallel(jobs: Iterable[Job] | Sequence[Job], max_workers: int = 1,
-                 mp_context=None, telemetry=None, retries: int = 0,
+                 telemetry=None, retries: int = 0,
                  checkpoint_dir: str | Path | None = None,
                  checkpoint_every: int = 0,
                  timeout: float | None = None,
@@ -363,58 +340,48 @@ def run_parallel(jobs: Iterable[Job] | Sequence[Job], max_workers: int = 1,
                  heartbeat_timeout: float | None = None,
                  retry_backoff: float = 0.0,
                  backoff_seed: int = 0,
-                 pool=None,
+                 pool: WorkerPool | None = None,
                  fabric_dir: str | Path | None = None) -> ScheduleReport:
     """Execute ``jobs`` and return per-job results in submission order.
 
-    ``max_workers <= 1`` (or a single job) runs inline — no processes, no
-    pickling, identical to a plain for-loop.  Otherwise jobs are farmed
-    out to a process pool; a job that raises, fails to pickle, or loses
-    its worker is reported as a failed :class:`JobResult` while the rest
-    of the sweep completes.  ``telemetry`` (default: the ambient one)
-    receives per-attempt events and crash records into the run manifest.
+    The lane is chosen once, and every retry round uses it:
 
-    Fault containment (all opt-in; with none of these set the execution
-    path — and therefore every result byte — is identical to the plain
-    scheduler):
+    * ``fabric_dir=`` — the multi-host job fabric (:mod:`repro.fabric`):
+      jobs are enqueued into the shared directory and executed by
+      whatever worker daemons drain it, with lease fencing,
+      checkpoint-resumed steals, and store-deduplicated results.  If no
+      live daemon appears within the fabric's grace window the batch
+      degrades to inline execution (``report.degraded`` + a
+      ``schedule.degraded`` event) — a sweep never hangs on an empty
+      fabric.  Checkpointable jobs default their ``checkpoint_dir`` into
+      the fabric so a stolen job resumes on whichever host re-leased it.
+    * ``pool=`` — that :class:`~repro.runtime.pool.WorkerPool`, whose
+      warm workers outlive this call.
+    * inline — when ``max_workers <= 1`` or there is a single job, and
+      no ``timeout`` / ``deadline`` / ``heartbeat_timeout`` /
+      ``Job.timeout`` is set: no processes, no pickling, identical to a
+      plain for-loop.
+    * otherwise an ephemeral ``WorkerPool(min(max_workers, len(jobs)))``,
+      closed before this call returns.
 
-    * ``timeout=`` / ``Job.timeout`` / ``deadline=`` /
-      ``heartbeat_timeout=`` switch the batch onto the watchdog
-      supervisor: each job gets its own worker process, hung or stalled
-      workers are killed and classified ``error_kind="timeout"``, and the
-      sweep-level ``deadline`` bounds total wall clock.
-    * ``retries=k`` requeues each failed job up to k more times, sleeping
-      ``compute_backoff(retry_backoff, round, rng)`` between rounds
-      (seeded jitter; ``retry_backoff=0`` disables sleeping).  With
-      ``checkpoint_dir`` + ``checkpoint_every`` set, jobs flagged
-      :attr:`Job.checkpointable` get ``checkpoint_path=`` /
-      ``checkpoint_every=`` kwargs injected, so a crashed, killed, or
-      numerically-diverged training job's retry resumes from its last
-      healthy on-disk checkpoint instead of restarting from scratch; the
-      result is bit-identical to an uninterrupted run.
-    * A broken process pool (a worker hard-killed mid-job) fails every
-      in-flight job as ``pool_broken``; those are requeued on a rebuilt
-      pool without consuming ``retries``, and after
-      ``DEGRADE_AFTER_POOL_BREAKS`` breakages the sweep degrades to
-      inline serial execution with a telemetry warning rather than
-      failing.
-    * ``pool=`` (a :class:`~repro.runtime.pool.WorkerPool`) runs every
-      batch on persistent, already-warm worker processes instead of
-      spawning per attempt; the pool enforces the same ``timeout`` /
-      ``deadline`` / ``heartbeat_timeout`` watchdog semantics itself and
-      replaces dead workers in place, so ``pool_broken`` never occurs.
-      Job payloads are serialized once (``Job.payload``) and reshipped
-      as bytes on retries.
-    * ``fabric_dir=`` routes every batch through the multi-host job
-      fabric (:mod:`repro.fabric`): jobs are enqueued into the shared
-      directory and executed by whatever worker daemons are drained from
-      it, with lease fencing, checkpoint-resumed steals, and
-      store-deduplicated results.  If no live daemon appears within the
-      fabric's grace window the batch degrades to inline execution
-      (``report.degraded`` + a ``schedule.degraded`` event) — a sweep
-      never hangs on an empty fabric.  Checkpointable jobs default their
-      ``checkpoint_dir`` into the fabric so a stolen job resumes on
-      whichever host re-leased it.
+    On a pool, a job that raises, fails to pickle, or loses its worker
+    is reported as a failed :class:`JobResult` while the rest of the
+    sweep completes; ``timeout`` / ``Job.timeout`` / ``deadline`` /
+    ``heartbeat_timeout`` kill hung or stalled workers, classified
+    ``error_kind="timeout"``.  Job payloads are serialized once
+    (``Job.payload``) and reshipped as bytes on retries.
+
+    ``retries=k`` requeues each failed job up to k more times, sleeping
+    ``compute_backoff(retry_backoff, round, rng)`` between rounds (seeded
+    jitter; ``retry_backoff=0`` disables sleeping).  With
+    ``checkpoint_dir`` + ``checkpoint_every`` set, jobs flagged
+    :attr:`Job.checkpointable` get ``checkpoint_path=`` /
+    ``checkpoint_every=`` kwargs injected, so a crashed, killed, or
+    numerically-diverged training job's retry resumes from its last
+    healthy on-disk checkpoint instead of restarting from scratch; the
+    result is bit-identical to an uninterrupted run.  ``telemetry``
+    (default: the ambient one) receives per-attempt events and crash
+    records into the run manifest.
     """
     jobs = list(jobs)
     telemetry = telemetry if telemetry is not None else current_telemetry()
@@ -433,11 +400,15 @@ def run_parallel(jobs: Iterable[Job] | Sequence[Job], max_workers: int = 1,
             # job cannot resume on the host that re-leased it.
             checkpoint_dir = Path(fabric_dir) / "checkpoints"
     prepared = _prepare_jobs(jobs, checkpoint_dir, checkpoint_every)
-    supervised = (pool is None and fabric is None
-                  and (timeout is not None or deadline is not None
-                       or heartbeat_timeout is not None
-                       or any(job.timeout is not None for job in prepared)))
-    pool_breaks = 0
+    effective_workers = (pool.max_workers if pool is not None
+                         else max(1, max_workers))
+    watchdog = (timeout is not None or deadline is not None
+                or heartbeat_timeout is not None
+                or any(job.timeout is not None for job in prepared))
+    owned_pool = None
+    if (fabric is None and pool is None and prepared
+            and (watchdog or (max_workers > 1 and len(prepared) > 1))):
+        pool = owned_pool = WorkerPool(min(max_workers, len(prepared)))
     degraded = False
     degraded_reason = ""
     fabric_churn: list[JobResult] = []
@@ -449,70 +420,41 @@ def run_parallel(jobs: Iterable[Job] | Sequence[Job], max_workers: int = 1,
             return None
         return max(0.0, deadline - (time.perf_counter() - start))
 
-    def run_batch(subset: list[Job], requeue: bool = False) -> list[JobResult]:
+    def run_batch(subset: list[Job]) -> list[JobResult]:
         if fabric is not None:
             batch, acts, churn = fabric.run_batch(
                 subset, timeout=timeout, deadline=deadline_left())
-            interventions.extend(acts)
             fabric_churn.extend(churn)
-            return batch
-        if pool is not None:
+        elif pool is not None:
             batch, acts = pool.run(subset, timeout=timeout,
                                    deadline=deadline_left(),
                                    heartbeat_timeout=heartbeat_timeout)
-            interventions.extend(acts)
-            return batch
-        if supervised:
-            batch, acts = run_supervised(
-                subset, max_workers=1 if degraded else max_workers,
-                mp_context=mp_context, timeout=timeout,
-                deadline=deadline_left(),
-                heartbeat_timeout=heartbeat_timeout)
-            interventions.extend(acts)
-            return batch
-        if degraded:
+        else:
             return [_execute_job(job) for job in subset]
-        return _run_batch(subset, max_workers, mp_context, force_pool=requeue)
+        interventions.extend(acts)
+        return batch
 
-    results = run_batch(prepared)
-    attempts = [1] * len(results)
-    retried: list[tuple[int, JobResult]] = []
-
-    # Pool containment: requeue pool_broken casualties on a rebuilt pool
-    # (free — the job may never have run), degrading to inline after
-    # repeated breakage.  Only the pool path can break a pool.
-    rebuilds = 0
-    while (pool is None and fabric is None and not supervised
-           and rebuilds < MAX_POOL_REBUILDS):
-        broken = [i for i, r in enumerate(results)
-                  if not r.ok and r.error_kind == "pool_broken"]
-        if not broken:
-            break
-        rebuilds += 1
-        pool_breaks += 1
-        if pool_breaks >= DEGRADE_AFTER_POOL_BREAKS:
-            degraded = True
-        for i in broken:
-            retried.append((attempts[i], results[i]))
-        requeued = run_batch([prepared[i] for i in broken], requeue=True)
-        for i, result in zip(broken, requeued):
-            attempts[i] += 1
-            results[i] = result
-
-    pending = [i for i, r in enumerate(results) if not r.ok]
-    retry_round = 0
-    while pending and max(attempts[i] for i in pending) <= retries:
-        retry_round += 1
-        delay = compute_backoff(retry_backoff, retry_round, backoff_rng)
-        if delay > 0.0:
-            time.sleep(delay)
-        for i in pending:
-            retried.append((attempts[i], results[i]))
-        retry_results = run_batch([prepared[i] for i in pending], requeue=True)
-        for i, result in zip(pending, retry_results):
-            attempts[i] += 1
-            results[i] = result
-        pending = [i for i in pending if not results[i].ok]
+    try:
+        results = run_batch(prepared)
+        attempts = [1] * len(results)
+        retried: list[tuple[int, JobResult]] = []
+        pending = [i for i, r in enumerate(results) if not r.ok]
+        retry_round = 0
+        while pending and max(attempts[i] for i in pending) <= retries:
+            retry_round += 1
+            delay = compute_backoff(retry_backoff, retry_round, backoff_rng)
+            if delay > 0.0:
+                time.sleep(delay)
+            for i in pending:
+                retried.append((attempts[i], results[i]))
+            retry_results = run_batch([prepared[i] for i in pending])
+            for i, result in zip(pending, retry_results):
+                attempts[i] += 1
+                results[i] = result
+            pending = [i for i in pending if not results[i].ok]
+    finally:
+        if owned_pool is not None:
+            owned_pool.close()
     for i, result in enumerate(results):
         result.attempts = attempts[i]
     if fabric is not None:
@@ -528,8 +470,6 @@ def run_parallel(jobs: Iterable[Job] | Sequence[Job], max_workers: int = 1,
         for record in fabric_churn:
             churn_counts[record.name] = churn_counts.get(record.name, 0) + 1
             retried.append((churn_counts[record.name], record))
-    effective_workers = (pool.max_workers if pool is not None
-                         else 1 if max_workers <= 1 else max_workers)
     report = ScheduleReport(results=results,
                             wall_clock=time.perf_counter() - start,
                             max_workers=effective_workers,

@@ -14,7 +14,7 @@ the number a request gets (and the artifact the store then caches
 forever) would depend on server load.  So the batch is defined as *the
 request's own live episodes, in episode-index order*: a pure function of
 the request, bit-reproducible no matter what else the server is doing,
-identical between the in-server lane and a supervisor worker process.
+identical between the in-server lane and a pool worker process.
 
 :func:`batched_evaluate` is that canonical evaluator: it runs a
 request's episodes as concurrent coroutines (each with its own

@@ -89,7 +89,7 @@ class ServeClient:
         """Submit ``request``; stream events; return the result payload.
 
         Raises :class:`ServeError` if the server reports failure (the
-        supervisor's ``error_kind`` is preserved on the exception).
+        scheduler's ``error_kind`` is preserved on the exception).
         """
         request_id = f"c{next(self._ids)}"
         queue: asyncio.Queue[dict] = asyncio.Queue()

@@ -1,6 +1,6 @@
 """Worker-side request computation: train what's missing, evaluate, persist.
 
-This is the function the service schedules through the PR 4 supervisor
+This is the function the service schedules on its worker pool
 (:func:`~repro.runtime.scheduler.run_parallel` with a per-job timeout),
 so it must be importable and picklable at module level and entirely
 self-contained: it opens its own store, installs its own telemetry (a
@@ -77,7 +77,7 @@ def _apply_fault(fault: dict | None) -> None:
 
     ``crash`` exercises the ``error_kind="crash"`` path, ``numerical``
     the health-guard taxonomy, and ``hang`` parks the worker until the
-    supervisor's deadline kill (``error_kind="timeout"``).
+    worker pool's deadline kill (``error_kind="timeout"``).
     """
     if not fault:
         return

@@ -40,7 +40,7 @@ from ..envs import make
 from ..rl.policy import ActorCritic
 from ..runtime.pool import WorkerPool
 from ..runtime.scheduler import Job, run_parallel
-from ..runtime.supervisor import classify_exception
+from ..runtime import classify_exception
 from ..store import ArtifactStore, spec_key
 from ..telemetry import MetricsRegistry, Telemetry
 from ..zoo.train import _load_cached, training_env_factory
@@ -59,10 +59,11 @@ class ServeConfig:
     # Evaluate training-free requests with a warm victim in-process,
     # micro-batching their forward passes.  Off → everything is a job.
     inline_eval: bool = True
-    # Concurrent supervised worker jobs (each is its own process).
+    # Worker processes in the service's pool (created lazily on the
+    # first scheduled job and reused for every later one).
     max_workers: int = 2
-    # Per-job wall-clock budget; routes jobs through the watchdog
-    # supervisor so a hung evaluation is killed and classified "timeout".
+    # Per-job wall-clock budget, enforced by the pool's watchdog: a hung
+    # evaluation is killed and classified "timeout".
     job_timeout: float | None = 600.0
     # Failed jobs are requeued up to this many extra times.
     retries: int = 1
@@ -71,19 +72,12 @@ class ServeConfig:
     policy_cache_size: int = 8
     # Honor the request's "fault" section (chaos tests/CI only).
     allow_fault_injection: bool = False
-    # Keep a persistent WorkerPool for the worker lane instead of
-    # spawning a fresh supervised process per job: the pool workers are
-    # created once (lazily, on the first scheduled job) and reused, so a
-    # busy service pays the interpreter/import start-up tax max_workers
-    # times total rather than once per request.  Watchdog semantics
-    # (job_timeout, heartbeats, error_kind taxonomy) are identical.
-    persistent_pool: bool = True
     # Worker progress files are polled at this interval (seconds).
     progress_poll: float = 0.05
 
 
 class ServeError(RuntimeError):
-    """A request failed; ``error_kind`` carries the supervisor taxonomy."""
+    """A request failed; ``error_kind`` carries the scheduler taxonomy."""
 
     def __init__(self, message: str, error_kind: str = "crash"):
         super().__init__(message)
@@ -111,9 +105,7 @@ class EvalService:
         self._pool: WorkerPool | None = None
         self._pool_guard = threading.Lock()
 
-    def _worker_pool(self) -> WorkerPool | None:
-        if not self.config.persistent_pool:
-            return None
+    def _worker_pool(self) -> WorkerPool:
         with self._pool_guard:
             if self._pool is None:
                 self._pool = WorkerPool(

@@ -113,16 +113,7 @@ def capture_rng_states(obj) -> dict[str, dict]:
     """Bit-generator states of every ``np.random.Generator`` reachable
     from ``obj`` through repro objects (env wrappers, opponents, vector
     lanes), keyed by attribute path.  The states are JSON-serializable.
-
-    Objects whose generators live in *other processes* (e.g.
-    :class:`~repro.runtime.async_vec_env.AsyncVectorEnv`, whose lanes
-    are worker processes) expose ``rng_states()`` / ``set_rng_states()``
-    instead of an in-process generator graph; those are honoured here so
-    checkpoints work identically across env backends.
     """
-    remote = getattr(obj, "rng_states", None)
-    if callable(remote):
-        return remote()
     return {path: gen.bit_generator.state for path, gen in _find_generators(obj).items()}
 
 
@@ -133,10 +124,6 @@ def restore_rng_states(obj, states: dict[str, dict]) -> None:
     captured — a mismatch means the checkpoint was taken from a
     differently-shaped run and resuming would silently diverge.
     """
-    remote = getattr(obj, "set_rng_states", None)
-    if callable(remote):
-        remote(states)
-        return
     found = _find_generators(obj)
     missing = set(states) - set(found)
     extra = set(found) - set(states)

@@ -8,13 +8,13 @@ step-addressed, marker-file counted — so failures replay exactly.
 2. Numerical-health guards: NaN/Inf/magnitude violations raise
    structured ``NumericalDivergence`` before any optimizer or
    checkpoint mutation.
-3. Supervisor watchdog: hung, stalled (SIGSTOP), and crashed workers
-   are killed and classified; sweep deadlines always terminate.
-4. Scheduler containment: retries with seeded backoff, pool breakage
-   requeue + inline degradation, and the acceptance sweep — one hang,
-   one crash, one NaN divergence, everything else succeeds and the
-   diverged cell recovers bit-identically from its last healthy
-   checkpoint.
+3. Watchdog: hung, stalled (SIGSTOP), and crashed workers are killed
+   and classified; sweep deadlines always terminate.
+4. Scheduler containment: retries with seeded backoff, a crash retried
+   on the same worker pool without touching its neighbours, and the
+   acceptance sweep — one hang, one crash, one NaN divergence,
+   everything else succeeds and the diverged cell recovers
+   bit-identically from its last healthy checkpoint.
 5. Store corruption: a truncated blob behind a valid sidecar is caught
    by ``verify`` and treated as a cache miss by ``get``.
 """
@@ -58,11 +58,11 @@ from repro.runtime import (
     ERROR_KINDS,
     Job,
     WorkerPool,
+    WorkerTimeout,
     compute_backoff,
     classify_exception,
     run_parallel,
 )
-from repro.runtime.supervisor import WorkerTimeout
 from repro.store import ArtifactStore
 from repro.telemetry import Telemetry
 
@@ -74,6 +74,10 @@ STEPS = 64
 
 def _ok_job(value=1, seed=None):
     return value
+
+
+def _value_and_pid_job(value=1, seed=None):
+    return value, os.getpid()
 
 
 def _sleep_job(seconds=3600.0, seed=None):
@@ -279,13 +283,11 @@ class TestHealthGuards:
             check_finite("x", np.array([np.nan]))
         except NumericalDivergence as exc:
             assert classify_exception(exc) == "numerical"
-        from concurrent.futures.process import BrokenProcessPool
-        assert classify_exception(BrokenProcessPool("dead")) == "pool_broken"
         from repro.fabric import LeaseLost, QueueCorrupt
         assert classify_exception(LeaseLost("fenced")) == "lease_lost"
         assert classify_exception(QueueCorrupt("garbled")) == "queue_corrupt"
         assert set(ERROR_KINDS) == {
-            "crash", "timeout", "numerical", "pickling", "pool_broken",
+            "crash", "timeout", "numerical", "pickling",
             "lease_lost", "orphaned", "queue_corrupt"}
 
 
@@ -416,25 +418,30 @@ class TestRetryBackoff:
         assert remote == _backoff_schedule(123)
 
 
-# ----------------------------------------------------------- pool breakage
+# ---------------------------------------------------------- crash containment
 
-class TestPoolDegradation:
-    def test_broken_pool_requeues_then_degrades_inline(self, tmp_path):
-        marker = tmp_path / "crash-twice"
-        telemetry = Telemetry.in_memory()
-        jobs = [Job(WorkerFault(_ok_job, "crash", str(marker), times=2),
+class TestCrashContainment:
+    def test_crash_retried_on_the_pool_neighbours_untouched(self, tmp_path):
+        """A worker crash fails only its own job, and the one-job retry
+        round runs on the same pool — never inline, where a second crash
+        would take the parent down."""
+        marker = tmp_path / "crash-once"
+        jobs = [Job(WorkerFault(_value_and_pid_job, "crash", str(marker)),
                     kwargs={"value": 0}, name="crasher")]
-        jobs += [Job(_ok_job, kwargs={"value": i}, name=f"ok{i}")
+        jobs += [Job(_value_and_pid_job, kwargs={"value": i}, name=f"ok{i}")
                  for i in (1, 2, 3)]
-        report = run_parallel(jobs, max_workers=2, telemetry=telemetry)
+        report = run_parallel(jobs, max_workers=2, retries=1)
         assert report.n_failed == 0, report.failures
-        assert report.degraded
-        assert {r.name for _, r in report.retried} >= {"crasher"}
-        assert all(r.error_kind == "pool_broken" for _, r in report.retried)
-        assert report.values()[:4] == [0, 1, 2, 3]
-        assert any(e["type"] == "schedule.degraded"
-                   for e in telemetry.sink.events)
-        assert "degraded to inline" in report.summary()
+        crasher = report.results[0]
+        assert crasher.ok and crasher.attempts == 2
+        (attempt, failed), = report.retried
+        assert attempt == 1 and failed.name == "crasher"
+        assert failed.error_kind == "crash"
+        assert [r.attempts for r in report.results[1:]] == [1, 1, 1]
+        assert [value for value, _ in report.values()] == [0, 1, 2, 3]
+        # Every attempt, the retry included, ran in a worker process.
+        assert all(pid != os.getpid() for _, pid in report.values())
+        assert not report.degraded
 
 
 # ------------------------------------------------------------ the acceptance
@@ -586,11 +593,7 @@ class TestWorkerPoolChaos:
         assert follow_up.values() == [5]
 
     def test_no_stale_files_after_graceful_close_and_sigkill(self):
-        """Neither shutdown mode leaves heartbeat files or shm segments."""
-        from repro.runtime.shm import default_shm_dir
-
-        shm_dir = Path(default_shm_dir())
-
+        """Neither shutdown mode leaves the heartbeat directory behind."""
         pool = WorkerPool(max_workers=2)
         root = Path(pool._tmp.name)
         pool.run([Job(fn=_ok_job, args=(1,), name="warm")])
@@ -605,7 +608,6 @@ class TestWorkerPoolChaos:
             worker.process.join(5.0)
         pool.close()  # close after carnage still cleans the directory
         assert not root.exists()
-        assert sorted(shm_dir.glob("repro-pool-*")) == []
 
 # ------------------------------------------------- fabric split-brain battery
 

@@ -10,19 +10,18 @@ Five layers of the reproducibility contract:
    ``ManualClock``).
 3. Cross-process — the same training job executed in two fresh worker
    processes via ``run_parallel`` returns bit-identical histories.
-4. Cross-lane (PR 7) — serial, ``SyncVectorEnv``, and
-   ``AsyncVectorEnv`` backends produce bit-identical trainer histories
-   and full rollout arrays at matched seeds.
-5. Pool vs spawn-per-job (PR 7) — ``run_parallel(pool=...)`` on a
-   persistent ``WorkerPool`` returns the same bits as spawn-per-job
-   scheduling, including after a worker was killed and replaced.
+4. Cross-lane — serial and ``SyncVectorEnv`` backends produce
+   bit-identical trainer histories at matched seeds.
+5. Cold vs warm pool — ``run_parallel(max_workers=2)`` on an ephemeral
+   pool returns the same bits as ``run_parallel(pool=...)`` on a warm,
+   caller-owned ``WorkerPool``, including after a worker was killed and
+   replaced.
 
 "Bit-identical" means ``==`` on the float dicts — no tolerances.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import signal
 
@@ -34,15 +33,7 @@ from repro.attacks import AttackConfig, StatePerturbationEnv
 from repro.attacks.imap.regularizers import make_regularizer
 from repro.attacks.trainer import AdversaryTrainer
 from repro.rl import TrainConfig, train_ppo
-from repro.rl.policy import ActorCritic
-from repro.runtime import (
-    AsyncVectorEnv,
-    Job,
-    SyncVectorEnv,
-    WorkerPool,
-    run_parallel,
-)
-from repro.runtime.collector import collect_adversary_rollout_vec
+from repro.runtime import Job, SyncVectorEnv, WorkerPool, run_parallel
 from repro.telemetry import ManualClock, Telemetry
 
 
@@ -134,7 +125,7 @@ class TestCrossProcessDeterminism:
 
 
 class TestThreeLaneDeterminism:
-    """Serial vs SyncVectorEnv vs AsyncVectorEnv at matched seeds."""
+    """Serial vs SyncVectorEnv at matched seeds."""
 
     def test_trainer_histories_identical_across_backends(self, small_victim):
         def adv_env():
@@ -143,43 +134,7 @@ class TestThreeLaneDeterminism:
 
         serial = _train_attack(adv_env())
         sync = _train_attack(SyncVectorEnv([adv_env()]))
-        async_vec = AsyncVectorEnv([adv_env()])
-        try:
-            asynchronous = _train_attack(async_vec)
-        finally:
-            async_vec.close()
         assert serial.history == sync.history
-        assert sync.history == asynchronous.history
-
-    def test_rollout_arrays_identical_sync_vs_async(self, small_victim):
-        """Every field of the collected AdversaryRollout, two lanes."""
-        def lanes():
-            return [StatePerturbationEnv(envs.make("Hopper-v0"), small_victim,
-                                         epsilon=0.6)
-                    for _ in range(2)]
-
-        def collect(vec):
-            vec.seed(17)
-            policy = ActorCritic(vec.observation_space.shape[0],
-                                 vec.action_space.shape[0], hidden_sizes=(8,),
-                                 rng=np.random.default_rng(9))
-            rng = np.random.default_rng(np.random.SeedSequence(23))
-            return collect_adversary_rollout_vec(vec, policy, 128, rng)
-
-        sync_rollout = collect(SyncVectorEnv(lanes()))
-        async_vec = AsyncVectorEnv(lanes())
-        try:
-            async_rollout = collect(async_vec)
-        finally:
-            async_vec.close()
-        for field in dataclasses.fields(sync_rollout):
-            sync_value = getattr(sync_rollout, field.name)
-            async_value = getattr(async_rollout, field.name)
-            if isinstance(sync_value, np.ndarray):
-                np.testing.assert_array_equal(sync_value, async_value,
-                                              err_msg=field.name)
-            else:
-                assert sync_value == async_value, field.name
 
 
 def _seeded_values_job(seed: int = 0):
@@ -188,18 +143,21 @@ def _seeded_values_job(seed: int = 0):
     return rng.standard_normal(16).tolist()
 
 
-class TestPoolVsSpawnDeterminism:
-    def test_pool_matches_spawn_per_job_training_cells(self):
+class TestColdVsWarmPoolDeterminism:
+    def test_cold_ephemeral_pool_matches_warm_pool_training_cells(self):
         def jobs():
             return [Job(fn=_attack_history_job, kwargs={"seed": s},
                         name=f"seed{s}") for s in (3, 4)]
 
-        spawn_report = run_parallel(jobs(), max_workers=2)
-        assert spawn_report.n_failed == 0, spawn_report.failures
+        cold_report = run_parallel(jobs(), max_workers=2)
+        assert cold_report.n_failed == 0, cold_report.failures
         with WorkerPool(max_workers=2) as pool:
-            pool_report = run_parallel(jobs(), pool=pool)
-        assert pool_report.n_failed == 0, pool_report.failures
-        assert spawn_report.values() == pool_report.values()
+            warmup = [Job(fn=_seeded_values_job, name=f"warm{i}")
+                      for i in range(2)]
+            run_parallel(warmup, pool=pool)
+            warm_report = run_parallel(jobs(), pool=pool)
+        assert warm_report.n_failed == 0, warm_report.failures
+        assert cold_report.values() == warm_report.values()
 
     def test_results_identical_after_worker_replacement(self):
         def jobs():

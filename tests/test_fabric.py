@@ -5,7 +5,7 @@ two-daemon sweeps) lives in ``tests/test_chaos.py``; this file covers
 the protocol pieces in isolation — token monotonicity, O_EXCL claim
 races, queue validation and quarantine, store-backed dedup, graceful
 degradation of a worker-less fabric, lease pruning, the worker CLI, and
-the stale pool/shm janitor.
+the stale pool-directory janitor.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from repro.runtime import (
     pid_alive,
     run_parallel,
     sweep_stale_pool_dirs,
-    sweep_stale_shm_segments,
 )
 from repro.telemetry import Telemetry
 
@@ -370,17 +369,6 @@ class TestJanitor:
         assert removed == [dead]
         assert not dead.exists() and live.exists() and unstamped.exists()
 
-    def test_sweep_shm_segments_only_dead_pids(self, tmp_path):
-        dead = tmp_path / f"repro-shm-{_dead_pid()}-abc123"
-        dead.write_bytes(b"x" * 64)
-        live = tmp_path / f"repro-shm-{os.getpid()}-abc123"
-        live.write_bytes(b"x" * 64)
-        legacy = tmp_path / "repro-shm-legacyname"  # pre-pid-stamp layout
-        legacy.write_bytes(b"x" * 64)
-        removed = sweep_stale_shm_segments(str(tmp_path))
-        assert removed == [dead]
-        assert not dead.exists() and live.exists() and legacy.exists()
-
     def test_worker_pool_init_sweeps_orphans(self):
         root = Path(tempfile.gettempdir())
         orphan = root / f"repro-pool-orphan-{os.urandom(4).hex()}"
@@ -395,24 +383,6 @@ class TestJanitor:
                 import shutil
 
                 shutil.rmtree(orphan)
-
-    def test_async_vec_env_startup_sweeps_orphans(self):
-        from repro import envs
-        from repro.runtime import AsyncVectorEnv
-        from repro.runtime.shm import default_shm_dir
-
-        orphan = (Path(default_shm_dir())
-                  / f"repro-shm-{_dead_pid()}-{os.urandom(4).hex()}")
-        orphan.write_bytes(b"x" * 64)
-        try:
-            vec = AsyncVectorEnv([lambda: envs.make("Hopper-v0")])
-            try:
-                assert not orphan.exists()  # swept before arena creation
-            finally:
-                vec.close()
-        finally:
-            if orphan.exists():
-                orphan.unlink()
 
 
 # ----------------------------------------------------------------- store gc

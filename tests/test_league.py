@@ -141,14 +141,14 @@ class TestLeagueReplay:
         config = LeagueConfig(**SMALL)
         inline = run_league(config, store=ArtifactStore(tmp_path / "s1"),
                             out_dir=tmp_path / "o1", jobs=1)
-        spawned = run_league(config, store=ArtifactStore(tmp_path / "s2"),
-                             out_dir=tmp_path / "o2", jobs=2)
+        ephemeral = run_league(config, store=ArtifactStore(tmp_path / "s2"),
+                               out_dir=tmp_path / "o2", jobs=2)
         with WorkerPool(max_workers=2) as pool:
             pooled = run_league(config, store=ArtifactStore(tmp_path / "s3"),
                                 out_dir=tmp_path / "o3", jobs=2, pool=pool)
-        assert (inline.matches_scheduled == spawned.matches_scheduled
+        assert (inline.matches_scheduled == ephemeral.matches_scheduled
                 == pooled.matches_scheduled == 2)
-        assert not spawned.rounds[-1].degraded
+        assert not ephemeral.rounds[-1].degraded
         assert not pooled.rounds[-1].degraded
         reference = (tmp_path / "o1" / "leaderboard.json").read_bytes()
         assert (tmp_path / "o2" / "leaderboard.json").read_bytes() == reference
@@ -250,8 +250,37 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["league", "--resume", str(tmp_path / "nowhere")])
 
-    def test_pool_and_fabric_exclusive(self, tmp_path):
-        from repro.experiments.cli import main
+    @pytest.mark.parametrize("extra, workers", [
+        ([], None),
+        (["--jobs", "2"], 2),
+        (["--jobs", "2", "--fabric", "FABRIC"], None),
+    ])
+    def test_jobs_hold_one_pool_across_rounds(self, tmp_path, monkeypatch,
+                                              extra, workers):
+        from types import SimpleNamespace
 
-        with pytest.raises(SystemExit):
-            main(["league", "--pool", "--fabric", str(tmp_path)])
+        from repro.league import cli as league_cli
+        from repro.runtime import WorkerPool
+
+        seen = []
+
+        def fake_run_league(config, pool=None, **kwargs):
+            seen.append(pool)
+            return SimpleNamespace(key="0" * 64, matches_scheduled=0,
+                                   matches_cached=0, matches_failed=0,
+                                   out_dir=kwargs["out_dir"])
+
+        monkeypatch.setattr(league_cli, "run_league", fake_run_league)
+        # --store-dir exports REPRO_STORE; restore it after the test.
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
+        extra = [str(tmp_path / "fabric") if arg == "FABRIC" else arg
+                 for arg in extra]
+        assert league_cli.main(self.ARGS[1:] + [
+            "--rounds", "3", "--store-dir", str(tmp_path / "store"),
+            "--out", str(tmp_path / "out")] + extra) == 0
+        pool, = seen  # one run_league call drives every round
+        if workers is None:
+            assert pool is None
+        else:
+            assert isinstance(pool, WorkerPool)
+            assert pool.max_workers == workers

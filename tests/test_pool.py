@@ -1,6 +1,6 @@
 """WorkerPool unit battery: reuse, supervision, payload caching, cleanup.
 
-The determinism-facing properties (pool vs spawn-per-job bit-identity,
+The determinism-facing properties (cold vs warm pool bit-identity,
 replacement transparency) live in ``tests/test_determinism.py``; the
 fault-injection cases (SIGKILL mid-job, leak checks under SIGKILL) in
 ``tests/test_chaos.py``.  This file covers the pool's own mechanics.
@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import tempfile
 import time
 from pathlib import Path
 
@@ -36,6 +37,10 @@ def _sleep_job(seconds=3600.0, seed=None):
 def _sigstop_job(seed=None):
     os.kill(os.getpid(), signal.SIGSTOP)
     return "resumed"
+
+
+def _pool_dirs_job(seed=None):
+    return sorted(p.name for p in Path(tempfile.gettempdir()).glob("repro-pool-*"))
 
 
 _REDUCE_CALLS = {"n": 0}
@@ -191,3 +196,20 @@ class TestPayloadCaching:
                 [Job(fn=lambda seed=None: 1, name="lambda")])
         assert not results[0].ok
         assert results[0].error_kind == "pickling"
+
+
+class TestEphemeralPool:
+    def test_no_pool_dir_left_after_run_parallel(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        report = run_parallel([Job(fn=_pool_dirs_job, name=f"j{i}")
+                               for i in range(3)], max_workers=2)
+        assert report.n_failed == 0, report.failures
+        # The jobs ran on a pool that owned a heartbeat directory ...
+        assert all(len(dirs) == 1 for dirs in report.values())
+        # ... and run_parallel closed it before returning.
+        assert sorted(tmp_path.glob("repro-pool-*")) == []
+
+    def test_watchdog_routes_a_single_job_onto_a_pool(self):
+        report = run_parallel([Job(fn=_pid_job, name="one")], timeout=60.0)
+        assert report.results[0].ok
+        assert report.values()[0] != os.getpid()
