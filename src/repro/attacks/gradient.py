@@ -71,12 +71,9 @@ class PgdAttack:
         self.step_size = step_size
         self._rng = np.random.default_rng(seed)
 
-    def _anchor(self, obs: np.ndarray):
-        from ..nn import DiagGaussian
-
-        with nn.no_grad():
-            mean = self.victim.distribution(obs).mean.data.copy()
-        return DiagGaussian(Tensor(mean), Tensor(self.victim.log_std.data.copy()))
+    def _anchor(self, obs: np.ndarray) -> nn.DiagGaussian:
+        mean = self.victim.actor.infer(obs)
+        return nn.DiagGaussian(Tensor(mean), Tensor(self.victim.log_std.data.copy()))
 
     def action(self, obs: np.ndarray, rng: np.random.Generator | None = None,
                deterministic: bool = True) -> np.ndarray:
@@ -177,9 +174,7 @@ class StrategicallyTimedAttack:
         return self._threshold
 
     def preference(self, obs: np.ndarray) -> float:
-        with nn.no_grad():
-            mean = self.victim.distribution(obs).mean.data
-        return float(np.abs(mean).max())
+        return float(np.abs(self.victim.actor.infer(obs)).max())
 
     def _freeze_threshold(self, prefs, source: str) -> float:
         prefs = np.asarray(prefs, dtype=np.float64)

@@ -40,8 +40,7 @@ class MimicPolicy(nn.Module):
 
     def absorb(self, obs_batch: np.ndarray, policy) -> None:
         """Store (state, current-policy-mean) snapshots via reservoir sampling."""
-        with nn.no_grad():
-            means = policy.distribution(obs_batch).mean.data
+        means = policy.actor.infer(obs_batch)
         for o, m in zip(obs_batch, means):
             self._seen += 1
             if len(self._obs) < self.buffer_capacity:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...density import IncrementalKnnIndex, StateBuffer, UnionStateBuffer
-from ...nn import no_grad
+from ...nn import gaussian_kl
 from ...rl.health import check_finite
 from ...rl.policy import ActorCritic
 from ..base import AdversaryRollout, AttackConfig
@@ -218,10 +218,9 @@ class DivergenceRegularizer(IntrinsicRegularizer):
         mimic = self._ensure_mimic(policy)
         if not mimic.trained:
             return np.zeros(len(rollout))
-        with no_grad():
-            current = policy.distribution(rollout.obs)
-            past = mimic.distribution(rollout.obs)
-            return self._checked(current.kl(past).data.copy())
+        return self._checked(gaussian_kl(
+            policy.actor.infer(rollout.obs), policy.log_std.data,
+            mimic.net.infer(rollout.obs), mimic.log_std.data))
 
     def after_update(self, rollout: AdversaryRollout, policy: ActorCritic) -> None:
         mimic = self._ensure_mimic(policy)

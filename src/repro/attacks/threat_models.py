@@ -114,13 +114,8 @@ class StatePerturbationEnv(Env):
         return self._current_normalized, adversary_reward, terminated, truncated, info
 
     def _victim_action(self, normalized_obs: np.ndarray) -> np.ndarray:
-        from .. import nn  # local import to avoid cycle at module load
-
-        with nn.no_grad():
-            dist = self.victim.distribution(normalized_obs)
-            if self.victim_deterministic:
-                return dist.mode()
-            return dist.sample(self._victim_rng)
+        return self.victim.sample_action(normalized_obs, self._victim_rng,
+                                         deterministic=self.victim_deterministic)
 
     def sample_initial_victim_state(self) -> np.ndarray:
         """Victim's normalized initial state (default IMAP-R target s₀^v).

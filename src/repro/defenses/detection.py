@@ -37,8 +37,7 @@ class DynamicsModel(nn.Module):
     def predict(self, obs: np.ndarray, action: np.ndarray) -> np.ndarray:
         """Predicted *delta* added to the current observation."""
         x = np.concatenate([np.atleast_2d(obs), np.atleast_2d(action)], axis=1)
-        with nn.no_grad():
-            delta = self.net(x).data
+        delta = self.net.infer(x)
         return np.atleast_2d(obs) + delta
 
     def fit(self, obs: np.ndarray, actions: np.ndarray, next_obs: np.ndarray,
@@ -159,9 +158,8 @@ class ForesightDetector:
                         flagged += int(error > self.threshold)
                         total += 1
                     seen_prev = seen_now
-                    with nn.no_grad():
-                        victim_action_prev = np.clip(
-                            self.victim.distribution(seen_now).mode(), -1.0, 1.0)
+                    victim_action_prev = np.clip(
+                        self.victim.actor.infer(seen_now), -1.0, 1.0)
             return flagged / max(total, 1)
 
         return DetectionReport(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import nn
 from ..attacks.threat_models import project_perturbation
 from ..rl.buffers import RolloutBuffer
 from ..rl.policy import ActorCritic
@@ -85,22 +84,17 @@ def collect_rollout_with_perturbation(env, victim: ActorCritic, perturbation,
         normalized = victim.normalize(obs, update=True)
         if perturbation is not None:
             normalized = normalized + perturbation(victim, normalized)
-        with nn.no_grad():
-            dist = victim.distribution(normalized)
-            action = dist.sample(rng)
-            log_prob = float(dist.log_prob(action).data.item())
-            value = float(victim.critic(normalized).data.item())
+        action, log_prob, value, _ = victim.act_normalized(normalized, rng)
         next_obs, reward, terminated, truncated, info = env.step(action)
         done = terminated or truncated
         ep_return += reward
-        buffer.add(normalized, action, log_prob, reward, value,
+        buffer.add(normalized, action, float(log_prob), reward, float(value),
                    done=done, terminated=terminated)
         index = buffer.ptr - 1
         if done:
             if not terminated:
                 nxt = victim.normalize(next_obs)
-                with nn.no_grad():
-                    buffer.set_bootstrap(index, float(victim.critic(nxt).data.item()))
+                buffer.set_bootstrap(index, float(victim.critic.infer(nxt).item()))
             returns.append(ep_return)
             ep_return = 0.0
             obs = env.reset()
@@ -108,8 +102,7 @@ def collect_rollout_with_perturbation(env, victim: ActorCritic, perturbation,
             obs = next_obs
             if buffer.full:
                 nxt = victim.normalize(obs)
-                with nn.no_grad():
-                    buffer.set_bootstrap(index, float(victim.critic(nxt).data.item()))
+                buffer.set_bootstrap(index, float(victim.critic.infer(nxt).item()))
     return float(np.mean(returns)) if returns else ep_return
 
 

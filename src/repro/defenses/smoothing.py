@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import nn
 from ..nn import Tensor
 from ..rl.policy import ActorCritic
 
@@ -41,8 +40,7 @@ def fgsm_perturbation(policy: ActorCritic, obs: np.ndarray, epsilon: float,
     delta0 = rng.uniform(-0.5 * epsilon, 0.5 * epsilon, size=obs.shape)
     x = Tensor(obs + delta0, requires_grad=True)
     dist = policy.distribution(x)
-    with nn.no_grad():
-        anchor_mean = policy.distribution(obs).mean.data.copy()
+    anchor_mean = policy.actor.infer(obs)
     anchor = type(dist)(Tensor(anchor_mean), Tensor(policy.log_std.data.copy()))
     kl = anchor.kl(dist).mean()
     for p in policy.parameters():

@@ -2,7 +2,9 @@
 
 Both distributions support differentiable ``log_prob``/``entropy``/``kl``
 through the autograd engine, plus cheap non-differentiable sampling for
-environment rollouts.
+environment rollouts.  The ``gaussian_*`` functions are the numpy-only
+inference path for a diagonal Gaussian: the same operations as the
+``DiagGaussian`` methods, in the same order, so bit-identical to them.
 """
 
 from __future__ import annotations
@@ -12,9 +14,33 @@ import numpy as np
 from .autograd import Tensor, as_tensor
 from .functional import log_softmax, softmax
 
-__all__ = ["DiagGaussian", "Categorical"]
+__all__ = ["DiagGaussian", "Categorical", "gaussian_sample", "gaussian_log_prob",
+           "gaussian_kl"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def gaussian_sample(mean: np.ndarray, log_std: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
+    """One draw per row of ``mean``; what :meth:`DiagGaussian.sample` draws."""
+    return mean + np.exp(log_std) * rng.standard_normal(mean.shape)
+
+
+def gaussian_log_prob(actions: np.ndarray, mean: np.ndarray,
+                      log_std: np.ndarray) -> np.ndarray:
+    """Numpy :meth:`DiagGaussian.log_prob`, summed over the action dimension."""
+    z = (actions - mean) * np.exp(-log_std)
+    per_dim = z**2 * -0.5 - log_std - 0.5 * _LOG_2PI
+    return per_dim.sum(axis=-1)
+
+
+def gaussian_kl(mean_p: np.ndarray, log_std_p: np.ndarray,
+                mean_q: np.ndarray, log_std_q: np.ndarray) -> np.ndarray:
+    """Numpy :meth:`DiagGaussian.kl`: KL(p || q) summed over the action dimension."""
+    var_ratio = np.exp((log_std_p - log_std_q) * 2.0)
+    mean_term = ((mean_p - mean_q) * np.exp(-log_std_q)) ** 2
+    per_dim = (var_ratio + mean_term - 1.0) * 0.5 + (log_std_q - log_std_p)
+    return per_dim.sum(axis=-1)
 
 
 class DiagGaussian:
@@ -34,9 +60,7 @@ class DiagGaussian:
         return self.log_std.exp()
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        mean = self.mean.data
-        std = np.broadcast_to(np.exp(self.log_std.data), mean.shape)
-        return mean + std * rng.standard_normal(mean.shape)
+        return gaussian_sample(self.mean.data, self.log_std.data, rng)
 
     def mode(self) -> np.ndarray:
         return self.mean.data.copy()

@@ -120,6 +120,24 @@ _ACTIVATIONS = {
 }
 
 
+def _np_relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
+
+
+def _np_sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+# The numpy twin of each Tensor activation, computing exactly what the
+# Tensor op computes on ``.data`` (see ``Tensor.tanh``/``relu``/``sigmoid``).
+_NUMPY_ACTIVATIONS = {
+    _tanh: np.tanh,
+    _relu: _np_relu,
+    _sigmoid: _np_sigmoid,
+    _identity: _identity,
+}
+
+
 def activation(name: str):
     """Look up an activation by name; returns a callable Tensor -> Tensor."""
     if name not in _ACTIVATIONS:
@@ -148,3 +166,16 @@ class MLP(Module):
         for layer in self.hidden:
             h = self.activation(layer(h))
         return self.output(h)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Gradient-free forward in plain numpy.
+
+        Runs the operations of :meth:`forward` in the same order on the
+        parameter arrays, so ``infer(x)`` is bit-identical to
+        ``forward(x).data`` while building no ``Tensor`` graph.
+        """
+        act = _NUMPY_ACTIVATIONS[self.activation]
+        h = np.asarray(x, dtype=np.float64)
+        for layer in self.hidden:
+            h = act(h @ layer.weight.data + layer.bias.data)
+        return h @ self.output.weight.data + self.output.bias.data

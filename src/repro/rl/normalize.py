@@ -19,9 +19,17 @@ class RunningMeanStd:
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim == len(self.mean.shape):
             batch = batch[None]
-        batch_mean = batch.mean(axis=0)
-        batch_var = batch.var(axis=0)
         batch_count = batch.shape[0]
+        if batch_count == 1:
+            # The serial collector's per-step update: the batch mean is
+            # the row and the variance is (x - x)**2, which is 0 for a
+            # finite x and NaN for NaN/inf, as the general reduction gives.
+            batch_mean = batch[0]
+            deviation = batch_mean - batch_mean
+            batch_var = deviation * deviation
+        else:
+            batch_mean = batch.mean(axis=0)
+            batch_var = batch.var(axis=0)
 
         delta = batch_mean - self.mean
         total = self.count + batch_count

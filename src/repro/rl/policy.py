@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..nn import MLP, DiagGaussian, Parameter, Tensor
+from ..nn import MLP, DiagGaussian, Parameter, Tensor, gaussian_log_prob, gaussian_sample
 from .normalize import ObservationNormalizer
 
 __all__ = ["ActorCritic"]
@@ -53,6 +53,31 @@ class ActorCritic(nn.Module):
         """Policy distribution over actions; input must already be normalized."""
         return DiagGaussian(self.actor(normalized_obs), self.log_std)
 
+    def act_normalized(self, normalized: np.ndarray, rng: np.random.Generator,
+                       deterministic: bool = False):
+        """Rollout forward on already-normalized input, in plain numpy.
+
+        ``normalized`` is one row (obs_dim,) or a batch (n, obs_dim).
+        Returns ``(action, log_prob, value_e, value_i)``; the last three
+        have the batch shape (``()`` for one row), and ``value_i`` is zero
+        without an intrinsic head.  Bit-identical to the same quantities
+        built from :meth:`distribution` and the critics, with no graph.
+        """
+        mean = self.actor.infer(normalized)
+        log_std = self.log_std.data
+        action = mean if deterministic else gaussian_sample(mean, log_std, rng)
+        log_prob = gaussian_log_prob(action, mean, log_std)
+        value_e = self.critic.infer(normalized)[..., 0]
+        value_i = (self.critic_intrinsic.infer(normalized)[..., 0] if self.dual_value
+                   else np.zeros(mean.shape[:-1]))
+        return action, log_prob, value_e, value_i
+
+    def sample_action(self, normalized: np.ndarray, rng: np.random.Generator,
+                      deterministic: bool = False) -> np.ndarray:
+        """Just the action of :meth:`act_normalized`: same draws, no critics."""
+        mean = self.actor.infer(normalized)
+        return mean if deterministic else gaussian_sample(mean, self.log_std.data, rng)
+
     def act(self, obs: np.ndarray, rng: np.random.Generator,
             deterministic: bool = False, update_normalizer: bool = False):
         """Single-step rollout action.
@@ -60,15 +85,9 @@ class ActorCritic(nn.Module):
         Returns ``(action, log_prob, value_e, value_i, normalized_obs)``.
         """
         normalized = self.normalize(obs, update=update_normalizer)
-        with nn.no_grad():
-            dist = self.distribution(normalized)
-            action = dist.mode() if deterministic else dist.sample(rng)
-            log_prob = float(dist.log_prob(action).data.item())
-            value_e = float(self.critic(normalized).data.item())
-            value_i = (
-                float(self.critic_intrinsic(normalized).data.item()) if self.dual_value else 0.0
-            )
-        return action, log_prob, value_e, value_i, normalized
+        action, log_prob, value_e, value_i = self.act_normalized(
+            normalized, rng, deterministic=deterministic)
+        return action, float(log_prob), float(value_e), float(value_i), normalized
 
     def act_batch(self, obs: np.ndarray, rng: np.random.Generator,
                   deterministic: bool = False, update_normalizer: bool = False):
@@ -90,21 +109,13 @@ class ActorCritic(nn.Module):
             return (action[None].copy(), np.array([log_prob]),
                     np.array([value_e]), np.array([value_i]), normalized[None].copy())
         normalized = self.normalize(obs, update=update_normalizer)
-        with nn.no_grad():
-            dist = self.distribution(normalized)
-            actions = dist.mode() if deterministic else dist.sample(rng)
-            log_probs = dist.log_prob(actions).data.copy()
-            values_e = self.critic(normalized).data.reshape(-1).copy()
-            values_i = (
-                self.critic_intrinsic(normalized).data.reshape(-1).copy()
-                if self.dual_value else np.zeros(obs.shape[0])
-            )
-        return actions, log_probs, values_e, values_i, normalized
+        return (*self.act_normalized(normalized, rng, deterministic=deterministic),
+                normalized)
 
     def action(self, obs: np.ndarray, rng: np.random.Generator,
                deterministic: bool = False) -> np.ndarray:
         """Convenience: just the action (used for deployed/fixed policies)."""
-        return self.act(obs, rng, deterministic=deterministic)[0]
+        return self.sample_action(self.normalize(obs), rng, deterministic=deterministic)
 
     # ----------------------------------------------------------------- values
 

@@ -140,10 +140,9 @@ class PPOUpdater:
         nn.clip_grad_norm(self.policy.parameters(), cfg.max_grad_norm)
         self.optimizer.step()
 
-        with nn.no_grad():
-            log_ratio = log_probs.data - old_log_probs
-            approx_kl = float(np.mean(np.exp(log_ratio) - 1.0 - log_ratio))
-            clip_fraction = float(np.mean(np.abs(ratio.data - 1.0) > cfg.clip_epsilon))
+        log_ratio = log_probs.data - old_log_probs
+        approx_kl = float(np.mean(np.exp(log_ratio) - 1.0 - log_ratio))
+        clip_fraction = float(np.mean(np.abs(ratio.data - 1.0) > cfg.clip_epsilon))
         return {
             "policy_loss": float(policy_loss.data),
             "value_loss": float(value_loss.data),
