@@ -20,45 +20,52 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import nn
-from ..nn import Tensor
 from ..rl.policy import ActorCritic
 from ..telemetry import current_telemetry
 
 __all__ = ["PgdAttack", "CriticPgdAttack", "StrategicallyTimedAttack"]
 
 
-def _input_gradient(x: Tensor, obs: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The input gradient and whether it carries any signal.
-
-    A ``None`` gradient means the loss never reached the input — the
-    victim's graph was detached (e.g. its forward ran under ``no_grad``
-    or rebuilt its inputs as fresh leaves).  An all-zero gradient is the
-    same silent no-op one ``np.sign`` later: the PGD step goes nowhere.
-    """
-    if x.grad is None:
-        return np.zeros_like(obs), False
-    return x.grad, bool(np.any(x.grad))
-
-
 def _raise_dead_graph(attack, steps: int) -> None:
     """Record and refuse an attack whose every PGD step had zero gradient.
 
-    Silently returning the random init here is the bug this guards
-    against: the "adversarial" evaluation would really measure noise
-    while reporting PGD results.  The counter fires before the raise so
-    sweep telemetry shows dead-graph matches even when a caller
-    swallows the exception.
+    An all-zero input gradient is a silent no-op one ``np.sign`` later:
+    the PGD step goes nowhere (a victim whose output layer is zero, or
+    whose units all saturate, has no usable gradient).  Returning the
+    random init here would make the "adversarial" evaluation really
+    measure noise while reporting PGD results.  The counter fires before
+    the raise so sweep telemetry shows dead-graph matches even when a
+    caller swallows the exception.
     """
     telemetry = current_telemetry()
     if telemetry is not None:
         telemetry.metrics.counter("attacks.pgd.dead_graph").inc()
     raise RuntimeError(
         f"{type(attack).__name__}: all {steps} PGD steps produced a zero or "
-        "absent input gradient — the victim's graph is detached from the "
-        "perturbed observation (forward under no_grad, or inputs rebuilt as "
-        "fresh leaves), so the attack would silently degenerate to its "
-        "random initialization while still reporting adversarial results")
+        "absent input gradient — the victim's objective does not respond to "
+        "the perturbed observation, so the attack would silently degenerate "
+        "to its random initialization while still reporting adversarial "
+        "results")
+
+
+def _pgd(attack, obs: np.ndarray, input_gradient, sign: float) -> np.ndarray:
+    """Signed-gradient PGD in units of the budget, from a random start.
+
+    ``input_gradient(x)`` is the objective's gradient at ``x``; ``sign``
+    is +1.0 to ascend it and -1.0 to descend.  The victim's parameter
+    grads are cleared (nothing here sets them, but callers may hold
+    stale ones from training).
+    """
+    attack.victim.zero_grad()
+    delta = attack._rng.uniform(-0.25, 0.25, size=obs.shape)
+    live_steps = 0
+    for _ in range(attack.steps):
+        grad = input_gradient(obs + delta)
+        live_steps += bool(np.any(grad))
+        delta = np.clip(delta + sign * attack.step_size * np.sign(grad), -1.0, 1.0)
+    if attack.steps > 0 and live_steps == 0:
+        _raise_dead_graph(attack, attack.steps)
+    return delta
 
 
 class PgdAttack:
@@ -71,10 +78,6 @@ class PgdAttack:
         self.step_size = step_size
         self._rng = np.random.default_rng(seed)
 
-    def _anchor(self, obs: np.ndarray) -> nn.DiagGaussian:
-        mean = self.victim.actor.infer(obs)
-        return nn.DiagGaussian(Tensor(mean), Tensor(self.victim.log_std.data.copy()))
-
     def action(self, obs: np.ndarray, rng: np.random.Generator | None = None,
                deterministic: bool = True) -> np.ndarray:
         """Return a raw action in [-1, 1]^d (the env scales it into the ε-ball).
@@ -82,23 +85,9 @@ class PgdAttack:
         The inner PGD works in units of the budget: δ_raw accumulates in
         [-1, 1] and the threat model multiplies by ε.
         """
-        anchor = self._anchor(obs)
-        delta = self._rng.uniform(-0.25, 0.25, size=obs.shape)
-        live_steps = 0
-        for _ in range(self.steps):
-            x = Tensor(obs + delta, requires_grad=True)
-            kl = anchor.kl(self.victim.distribution(x)).mean()
-            for p in self.victim.parameters():
-                p.zero_grad()
-            kl.backward()
-            grad, live = _input_gradient(x, obs)
-            live_steps += live
-            delta = np.clip(delta + self.step_size * np.sign(grad), -1.0, 1.0)
-        for p in self.victim.parameters():
-            p.zero_grad()
-        if self.steps > 0 and live_steps == 0:
-            _raise_dead_graph(self, self.steps)
-        return delta
+        anchor_mean = self.victim.actor.infer(obs)
+        return _pgd(self, obs, lambda x: self.victim.kl_input_gradient(anchor_mean, x),
+                    sign=1.0)
 
 
 class CriticPgdAttack:
@@ -113,22 +102,7 @@ class CriticPgdAttack:
 
     def action(self, obs: np.ndarray, rng: np.random.Generator | None = None,
                deterministic: bool = True) -> np.ndarray:
-        delta = self._rng.uniform(-0.25, 0.25, size=obs.shape)
-        live_steps = 0
-        for _ in range(self.steps):
-            x = Tensor(obs + delta, requires_grad=True)
-            value = self.victim.critic(x).sum()
-            for p in self.victim.parameters():
-                p.zero_grad()
-            value.backward()
-            grad, live = _input_gradient(x, obs)
-            live_steps += live
-            delta = np.clip(delta - self.step_size * np.sign(grad), -1.0, 1.0)
-        for p in self.victim.parameters():
-            p.zero_grad()
-        if self.steps > 0 and live_steps == 0:
-            _raise_dead_graph(self, self.steps)
-        return delta
+        return _pgd(self, obs, self.victim.value_input_gradient, sign=-1.0)
 
 
 class StrategicallyTimedAttack:

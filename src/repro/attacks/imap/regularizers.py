@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...density import IncrementalKnnIndex, StateBuffer, UnionStateBuffer
+from ...density import IncrementalKnnIndex, UnionStateBuffer
 from ...nn import gaussian_kl
 from ...rl.health import check_finite
 from ...rl.policy import ActorCritic

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..rl.policy import ActorCritic
-
 __all__ = ["RandomAttackPolicy"]
 
 

@@ -11,8 +11,6 @@ bench.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..envs.core import Env, Wrapper
 from .base import AttackConfig, AttackResult
 from .trainer import AdversaryTrainer

@@ -38,17 +38,8 @@ def fgsm_perturbation(policy: ActorCritic, obs: np.ndarray, epsilon: float,
     obs = np.asarray(obs, dtype=np.float64)
     rng = rng or np.random.default_rng()
     delta0 = rng.uniform(-0.5 * epsilon, 0.5 * epsilon, size=obs.shape)
-    x = Tensor(obs + delta0, requires_grad=True)
-    dist = policy.distribution(x)
-    anchor_mean = policy.actor.infer(obs)
-    anchor = type(dist)(Tensor(anchor_mean), Tensor(policy.log_std.data.copy()))
-    kl = anchor.kl(dist).mean()
-    for p in policy.parameters():
-        p.zero_grad()
-    kl.backward()
-    grad = x.grad if x.grad is not None else np.zeros_like(obs)
-    for p in policy.parameters():
-        p.zero_grad()
+    grad = policy.kl_input_gradient(policy.actor.infer(obs), obs + delta0)
+    policy.zero_grad()  # the attack leaves no parameter grads behind
     return np.clip(delta0 + epsilon * np.sign(grad), -epsilon, epsilon)
 
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import replace
 
-import numpy as np
-
 from ..attacks import (
     AttackConfig,
     AttackResult,

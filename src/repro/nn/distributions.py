@@ -4,7 +4,8 @@ Both distributions support differentiable ``log_prob``/``entropy``/``kl``
 through the autograd engine, plus cheap non-differentiable sampling for
 environment rollouts.  The ``gaussian_*`` functions are the numpy-only
 inference path for a diagonal Gaussian: the same operations as the
-``DiagGaussian`` methods, in the same order, so bit-identical to them.
+``DiagGaussian`` methods (and, for ``gaussian_kl_grad_mean_q``, their
+autograd backward), in the same order, so bit-identical to them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .autograd import Tensor, as_tensor
 from .functional import log_softmax, softmax
 
 __all__ = ["DiagGaussian", "Categorical", "gaussian_sample", "gaussian_log_prob",
-           "gaussian_kl"]
+           "gaussian_kl", "gaussian_kl_grad_mean_q"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -41,6 +42,22 @@ def gaussian_kl(mean_p: np.ndarray, log_std_p: np.ndarray,
     mean_term = ((mean_p - mean_q) * np.exp(-log_std_q)) ** 2
     per_dim = (var_ratio + mean_term - 1.0) * 0.5 + (log_std_q - log_std_p)
     return per_dim.sum(axis=-1)
+
+
+def gaussian_kl_grad_mean_q(mean_p: np.ndarray, mean_q: np.ndarray,
+                            log_std_q: np.ndarray) -> np.ndarray:
+    """Gradient of ``gaussian_kl(p, q).mean()`` w.r.t. ``mean_q``.
+
+    Repeats the autograd chain of ``DiagGaussian.kl(...).mean()`` op for
+    op: the seed gradient 1.0 times ``mean``'s ``1/count``, the ``* 0.5``
+    of the per-dimension term, the ``** 2`` of the mean term, its
+    ``* exp(-log_std_q)`` and the negation of ``mean_p - mean_q``.
+    ``count`` is the number of KL rows (1 for a single row).
+    """
+    count = int(np.prod(mean_q.shape[:-1]))
+    scale = 1.0 * (1.0 / count)
+    t = (mean_p - mean_q) * np.exp(-log_std_q)
+    return -((((scale * 0.5) * 2.0) * t) * np.exp(-log_std_q))
 
 
 class DiagGaussian:

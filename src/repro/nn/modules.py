@@ -138,6 +138,33 @@ _NUMPY_ACTIVATIONS = {
 }
 
 
+def _tanh_vjp(g: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return g * (1.0 - out**2)
+
+
+def _relu_vjp(g: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return g * (z > 0)
+
+
+def _sigmoid_vjp(g: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return g * out * (1.0 - out)
+
+
+def _identity_vjp(g: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return g
+
+
+# The numpy twin of each Tensor activation's backward, given the upstream
+# gradient, the pre-activation ``z`` and the activation output ``out``
+# (see the ``backward`` closures of ``Tensor.tanh``/``relu``/``sigmoid``).
+_NUMPY_ACTIVATION_VJPS = {
+    _tanh: _tanh_vjp,
+    _relu: _relu_vjp,
+    _sigmoid: _sigmoid_vjp,
+    _identity: _identity_vjp,
+}
+
+
 def activation(name: str):
     """Look up an activation by name; returns a callable Tensor -> Tensor."""
     if name not in _ACTIVATIONS:
@@ -179,3 +206,32 @@ class MLP(Module):
         for layer in self.hidden:
             h = act(h @ layer.weight.data + layer.bias.data)
         return h @ self.output.weight.data + self.output.bias.data
+
+    def infer_vjp(self, x: np.ndarray):
+        """:meth:`infer` plus a vector-Jacobian product w.r.t. the input.
+
+        Returns ``(out, vjp)``: ``out`` is ``infer(x)``, and ``vjp(g_out)``
+        is the gradient w.r.t. ``x`` of ``sum(g_out * out)``.  ``vjp``
+        runs the operations of ``forward(x)``'s autograd backward in the
+        same order, so it equals the ``x.grad`` that backward leaves,
+        bit for bit.  No ``Tensor`` is built and no ``.grad`` is touched.
+        """
+        act = _NUMPY_ACTIVATIONS[self.activation]
+        act_vjp = _NUMPY_ACTIVATION_VJPS[self.activation]
+        h = np.asarray(x, dtype=np.float64)
+        tape = []
+        for layer in self.hidden:
+            z = h @ layer.weight.data + layer.bias.data
+            h = act(z)
+            tape.append((layer.weight.data, z, h))
+        out_weight = self.output.weight.data
+        out = h @ out_weight + self.output.bias.data
+
+        def vjp(g_out: np.ndarray) -> np.ndarray:
+            # Autograd copies every accumulated gradient to C order.
+            g = np.ascontiguousarray(g_out, dtype=np.float64) @ out_weight.T
+            for weight, z, a in reversed(tape):
+                g = act_vjp(g, z, a) @ weight.T
+            return g
+
+        return out, vjp

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..nn import MLP, DiagGaussian, Parameter, Tensor, gaussian_log_prob, gaussian_sample
+from ..nn import (MLP, DiagGaussian, Parameter, Tensor, gaussian_kl_grad_mean_q,
+                  gaussian_log_prob, gaussian_sample)
 from .normalize import ObservationNormalizer
 
 __all__ = ["ActorCritic"]
@@ -126,6 +127,24 @@ class ActorCritic(nn.Module):
         if not self.dual_value:
             raise RuntimeError("policy was built without an intrinsic value head")
         return self.critic_intrinsic(normalized_obs).reshape((-1,))
+
+    # -------------------------------------------------------- input gradients
+
+    def kl_input_gradient(self, anchor_mean: np.ndarray, normalized: np.ndarray) -> np.ndarray:
+        """Gradient w.r.t. ``normalized`` of the mean KL(anchor ‖ π(normalized)).
+
+        The anchor is the Gaussian with mean ``anchor_mean`` and this
+        policy's ``log_std``.  Plain numpy, bit-identical to the ``x.grad``
+        that ``DiagGaussian.kl(...).mean().backward()`` leaves; parameter
+        grads are not touched.
+        """
+        mean, vjp = self.actor.infer_vjp(normalized)
+        return vjp(gaussian_kl_grad_mean_q(anchor_mean, mean, self.log_std.data))
+
+    def value_input_gradient(self, normalized: np.ndarray) -> np.ndarray:
+        """Gradient w.r.t. ``normalized`` of the summed extrinsic value estimate."""
+        value, vjp = self.critic.infer_vjp(normalized)
+        return vjp(np.ones_like(value))
 
     # ------------------------------------------------------------- checkpoint
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,6 @@ class TestPgdAttack:
         attack = PgdAttack(tiny_victim, steps=5, seed=0)
         obs = rng.standard_normal(11)
         eps = 0.5
-        # The attack itself must run OUTSIDE no_grad — inside, its PGD
-        # steps get no input gradient (the dead-graph condition, which
-        # now raises instead of silently returning the random init).
         delta = attack.action(obs)
         with nn.no_grad():
             base = tiny_victim.distribution(obs).mean.data
@@ -125,42 +124,29 @@ class TestMultiSeed:
         assert outcome.seed_spread == 4.0
 
 
-class _DetachedVictim:
-    """Wrapper whose forward passes silently drop the input graph.
+def _dead_victim(victim):
+    """A copy of ``victim`` whose actor and critic output weights are zero.
 
-    Reproduces the classic dead-graph failure: the attack's perturbed
-    Tensor is converted back to numpy before the victim sees it, so
-    ``backward()`` never reaches ``x`` and ``x.grad`` stays None.
+    Its action mean and value no longer depend on the observation, so
+    every input gradient is exactly zero: the PGD steps would go nowhere
+    and leave the attack at its random initialization.
     """
-
-    def __init__(self, victim):
-        self._victim = victim
-
-    def __getattr__(self, name):
-        return getattr(self._victim, name)
-
-    def _detach(self, x):
-        from repro.nn import Tensor
-
-        return np.asarray(x.data if isinstance(x, Tensor) else x)
-
-    def distribution(self, x):
-        return self._victim.distribution(self._detach(x))
-
-    def critic(self, x):
-        return self._victim.critic(self._detach(x))
+    dead = copy.deepcopy(victim)
+    for head in (dead.actor, dead.critic):
+        head.output.weight.data[...] = 0.0
+    return dead
 
 
 class TestDeadGraphDetection:
-    """A detached victim graph must raise, not silently no-op (bugfix)."""
+    """A zero input gradient must raise, not silently no-op (bugfix)."""
 
     def test_pgd_raises_on_detached_graph(self, tiny_victim, rng):
-        attack = PgdAttack(_DetachedVictim(tiny_victim), steps=3, seed=0)
+        attack = PgdAttack(_dead_victim(tiny_victim), steps=3, seed=0)
         with pytest.raises(RuntimeError, match="zero or absent input gradient"):
             attack.action(rng.standard_normal(11))
 
     def test_critic_pgd_raises_on_detached_graph(self, tiny_victim, rng):
-        attack = CriticPgdAttack(_DetachedVictim(tiny_victim), steps=3, seed=0)
+        attack = CriticPgdAttack(_dead_victim(tiny_victim), steps=3, seed=0)
         with pytest.raises(RuntimeError, match="zero or absent input gradient"):
             attack.action(rng.standard_normal(11))
 
@@ -168,7 +154,7 @@ class TestDeadGraphDetection:
         from repro.telemetry import Telemetry, use_telemetry
 
         telemetry = Telemetry.in_memory()
-        attack = PgdAttack(_DetachedVictim(tiny_victim), steps=2, seed=0)
+        attack = PgdAttack(_dead_victim(tiny_victim), steps=2, seed=0)
         with use_telemetry(telemetry):
             with pytest.raises(RuntimeError):
                 attack.action(rng.standard_normal(11))
