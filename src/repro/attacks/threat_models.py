@@ -50,7 +50,8 @@ def project_perturbation(raw: np.ndarray, epsilon: float, norm: str = "linf") ->
     """Project a raw adversary action into the ε-ball ``‖a‖_p ≤ ε``."""
     raw = np.asarray(raw, dtype=np.float64)
     if norm == "linf":
-        return epsilon * np.clip(raw, -1.0, 1.0)
+        # np.clip's ufuncs without its Python wrappers (see DESIGN.md)
+        return epsilon * np.minimum(np.maximum(raw, -1.0), 1.0)
     if norm == "l2":
         scaled = epsilon * raw
         length = float(np.linalg.norm(scaled))

@@ -91,11 +91,12 @@ class LocomotionEnv(Env):
     # ---------------------------------------------------------------- helpers
 
     def _observe(self) -> np.ndarray:
-        core = self.body.core_state()
-        if self._projection is None:
-            return core
-        pad = np.tanh(core @ self._projection)
-        return np.concatenate([core, pad])
+        obs = np.empty(self.config.obs_dim)
+        core_dim = self.config.obs_dim - self._pad_dim
+        core = self.body.core_state(out=obs[:core_dim])
+        if self._projection is not None:
+            obs[core_dim:] = np.tanh(core @ self._projection)
+        return obs
 
     def _success_now(self) -> bool:
         if self.config.standup:
@@ -113,19 +114,22 @@ class LocomotionEnv(Env):
 
     def step(self, action):
         cfg = self.config
-        action = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-        self.body.step(action, rng=self.np_random)
+        body = self.body
+        action = body.step(action, rng=self.np_random)
 
         if cfg.standup:
-            progress = (self.body.z - self._prev_z) / cfg.body.dt
-            self._prev_z = self.body.z
+            progress = (body.z - self._prev_z) / cfg.body.dt
+            self._prev_z = body.z
         else:
-            progress = self.body.v
-        # mean (not sum) so the cost scale is joint-count independent
-        ctrl_cost = cfg.ctrl_cost_weight * float(np.mean(action**2))
+            progress = body.v
+        # mean (not sum) so the cost scale is joint-count independent;
+        # np.add.reduce(x) / n averages as numpy's mean does (see physics.py)
+        ctrl_cost = cfg.ctrl_cost_weight * (
+            float(np.add.reduce(action * action)) / cfg.body.n_joints)
         reward = cfg.forward_reward_weight * progress + cfg.alive_bonus - ctrl_cost
 
-        terminated = cfg.terminate_unhealthy and not self.body.healthy
+        healthy = body.healthy
+        terminated = cfg.terminate_unhealthy and not healthy
         success = False
         if not terminated and not self._succeeded and self._success_now():
             success = True
@@ -133,11 +137,11 @@ class LocomotionEnv(Env):
 
         info = {
             "success": success,
-            "x_position": self.body.x,
-            "forward_velocity": self.body.v,
-            "height": self.body.z,
-            "pitch": self.body.pitch,
-            "healthy": self.body.healthy,
+            "x_position": body.x,
+            "forward_velocity": body.v,
+            "height": body.z,
+            "pitch": body.pitch,
+            "healthy": healthy,
         }
         return self._observe(), reward, terminated, False, info
 

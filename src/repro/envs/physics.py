@@ -48,6 +48,11 @@ class BodyConfig:
     # joint torques that feed the pitch channel; alternating signs by default
     imbalance_weights: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self) -> None:
+        # A jointless body has no mean joint angle: every state would be NaN.
+        if self.n_joints < 1:
+            raise ValueError(f"n_joints must be at least 1, got {self.n_joints}")
+
     def weights(self) -> np.ndarray:
         if self.imbalance_weights is not None:
             w = np.asarray(self.imbalance_weights, dtype=np.float64)
@@ -87,27 +92,46 @@ class LinkChainBody:
         self.x = 0.0
         self._update_height()
 
-    def _update_height(self) -> None:
+    def _update_height(self, cos_q: np.ndarray | None = None) -> None:
+        """Recompute ``z``; ``cos_q`` is ``np.cos(self.q)`` when the caller has it."""
         c = self.config
-        crouch = float(np.mean(1.0 - np.cos(self.q))) if c.n_joints else 0.0
+        if cos_q is None:
+            cos_q = np.cos(self.q)
+        crouch = float(np.add.reduce(1.0 - cos_q)) / c.n_joints
         self.z = c.z_rest - c.height_sag * (1.0 - np.cos(self.pitch)) - c.crouch_sag * crouch
 
     # ------------------------------------------------------------- dynamics
+    #
+    # The step runs once per environment step, on arrays of a few joints,
+    # so numpy's per-call dispatch is most of its cost.  It calls the
+    # ufuncs that numpy's clip and mean wrappers run, without the wrappers
+    # (see DESIGN.md, "Per-step hot path"): ``np.minimum(np.maximum(a, lo),
+    # hi)`` to clip and ``np.add.reduce(x) / n`` to average, which keeps
+    # numpy's pairwise summation.
 
-    def step(self, action: np.ndarray, rng: np.random.Generator | None = None) -> None:
+    def step(self, action: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Integrate one ``dt``; returns the action applied, clipped to [-1, 1]."""
         c = self.config
-        a = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-        if a.shape != (c.n_joints,):
-            raise ValueError(f"action must have shape ({c.n_joints},), got {a.shape}")
+        n = c.n_joints
+        a = np.asarray(action, dtype=np.float64)
+        if a.shape != (n,):
+            raise ValueError(f"action must have shape ({n},), got {a.shape}")
+        a = np.minimum(np.maximum(a, -1.0), 1.0)
 
         qdd = c.torque_gain * a - c.joint_damping * self.qd - c.joint_stiffness * self.q
         self.qd = self.qd + c.dt * qdd
         self.q = self.q + c.dt * self.qd
+        cos_q = np.cos(self.q)
 
         # Thrust: symmetric torque drives the gait; over-extended joints
         # (large |q|) lose leverage, so pushing harder is not always faster.
-        efficiency = float(np.clip(np.mean(np.cos(self.q)), 0.0, 1.0))
-        thrust = c.drive_gain * float(np.mean(a)) * efficiency
+        # The clip to [0, 1] passes -0.0 and NaN through, as numpy's does.
+        efficiency = float(np.add.reduce(cos_q)) / n
+        if efficiency < 0.0:
+            efficiency = 0.0
+        elif efficiency > 1.0:
+            efficiency = 1.0
+        thrust = c.drive_gain * (float(np.add.reduce(a)) / n) * efficiency
         self.v = self.v + c.dt * (thrust - c.drag * self.v)
         self.x = self.x + c.dt * self.v
 
@@ -122,7 +146,8 @@ class LinkChainBody:
         )
         self.pitch_dot = self.pitch_dot + c.dt * pitch_acc
         self.pitch = self.pitch + c.dt * self.pitch_dot
-        self._update_height()
+        self._update_height(cos_q)
+        return a
 
     # ----------------------------------------------------------- observation
 
@@ -131,10 +156,18 @@ class LinkChainBody:
         c = self.config
         return self.z >= c.z_min and abs(self.pitch) <= c.pitch_max
 
-    def core_state(self) -> np.ndarray:
-        return np.concatenate(
-            ([self.z, self.pitch], self.q, [self.v, self.pitch_dot], self.qd)
-        )
+    def core_state(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The core state, written into ``out`` (a new array by default)."""
+        n = self.config.n_joints
+        if out is None:
+            out = np.empty(4 + 2 * n)
+        out[0] = self.z
+        out[1] = self.pitch
+        out[2:n + 2] = self.q
+        out[n + 2] = self.v
+        out[n + 3] = self.pitch_dot
+        out[n + 4:] = self.qd
+        return out
 
     @property
     def core_dim(self) -> int:

@@ -15,6 +15,28 @@ class RunningMeanStd:
         self.var = np.ones(shape)
         self.count = 1e-4
 
+    # ``std`` is cached until ``var`` is next assigned: a frozen normalizer
+    # divides by the same std on every step.  ``var`` is rebound, never
+    # written in place, by ``update`` and ``load``.
+
+    @property
+    def var(self) -> np.ndarray:
+        return self._var
+
+    @var.setter
+    def var(self, value: np.ndarray) -> None:
+        self._var = value
+        self._std = None
+
+    def __getstate__(self) -> dict:
+        # The pre-cache layout, so pickles stay byte-identical both ways.
+        return {"mean": self.mean, "var": self._var, "count": self.count}
+
+    def __setstate__(self, state: dict) -> None:
+        self.mean = state["mean"]
+        self.var = state["var"]
+        self.count = state["count"]
+
     def update(self, batch: np.ndarray) -> None:
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim == len(self.mean.shape):
@@ -43,7 +65,10 @@ class RunningMeanStd:
 
     @property
     def std(self) -> np.ndarray:
-        return np.sqrt(self.var + 1e-8)
+        std = self._std
+        if std is None:
+            std = self._std = np.sqrt(self._var + 1e-8)
+        return std
 
     def state(self) -> dict[str, np.ndarray]:
         return {"mean": self.mean.copy(), "var": self.var.copy(), "count": np.array(self.count)}
@@ -71,7 +96,9 @@ class ObservationNormalizer:
         obs = np.asarray(obs, dtype=np.float64)
         if update and not self.frozen:
             self.rms.update(obs)
-        return np.clip((obs - self.rms.mean) / self.rms.std, -self.clip, self.clip)
+        # np.clip's ufuncs without its Python wrappers (see DESIGN.md)
+        clip = self.clip
+        return np.minimum(np.maximum((obs - self.rms.mean) / self.rms.std, -clip), clip)
 
     def freeze(self) -> None:
         self.frozen = True

@@ -25,6 +25,19 @@ class TestWeights:
         with pytest.raises(ValueError):
             LinkChainBody(BodyConfig(n_joints=3, imbalance_weights=np.ones(4)))
 
+    @pytest.mark.parametrize("n_joints", [0, -1])
+    def test_jointless_body_rejected(self, n_joints):
+        # n_joints=0 used to build a body whose every state was NaN.
+        with pytest.raises(ValueError, match="n_joints must be at least 1"):
+            BodyConfig(n_joints=n_joints)
+
+    def test_single_joint_body_is_finite(self, rng):
+        body = make_body(n_joints=1)
+        body.reset(rng)
+        for _ in range(20):
+            body.step(np.array([0.5]), rng)
+        assert np.all(np.isfinite(body.core_state())) and body.healthy
+
     def test_custom_weights_used(self):
         w = np.array([0.5, -0.5, 0.0])
         body = LinkChainBody(BodyConfig(n_joints=3, imbalance_weights=w))
