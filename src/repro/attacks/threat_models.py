@@ -109,9 +109,13 @@ class StatePerturbationEnv(Env):
         info["victim_reward"] = victim_reward
         info["perturbation"] = delta
         # Features for the IMAP KNN density estimators: the victim-space
-        # state (here identical to the adversary's view).
-        info["knn_victim"] = self._current_normalized.copy()
-        info["knn_adversary"] = self._current_normalized.copy()
+        # state (here identical to the adversary's view).  Both keys share
+        # one copy: the collectors only read them (``knn_feature``) and
+        # stack them into fresh arrays, and the copy keeps them apart from
+        # the returned observation, which wrappers may overwrite in place.
+        features = self._current_normalized.copy()
+        info["knn_victim"] = features
+        info["knn_adversary"] = features
         return self._current_normalized, adversary_reward, terminated, truncated, info
 
     def _victim_action(self, normalized_obs: np.ndarray) -> np.ndarray:

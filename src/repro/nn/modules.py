@@ -139,7 +139,11 @@ _NUMPY_ACTIVATIONS = {
 
 
 def _tanh_vjp(g: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return g * (1.0 - out**2)
+    # g * (1.0 - out**2), computed in one temporary
+    slope = out**2
+    np.subtract(1.0, slope, out=slope)
+    slope *= g
+    return slope
 
 
 def _relu_vjp(g: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -207,6 +211,21 @@ class MLP(Module):
             h = act(h @ layer.weight.data + layer.bias.data)
         return h @ self.output.weight.data + self.output.bias.data
 
+    def _infer_tape(self, x: np.ndarray):
+        """:meth:`infer`, keeping each hidden layer's ``(weight, input, z, out)``."""
+        act = _NUMPY_ACTIVATIONS[self.activation]
+        h = np.asarray(x, dtype=np.float64)
+        tape = []
+        for layer in self.hidden:
+            z = h @ layer.weight.data
+            z += layer.bias.data  # the same add as infer's, into the matmul's array
+            out = act(z)
+            tape.append((layer.weight.data, h, z, out))
+            h = out
+        out = h @ self.output.weight.data
+        out += self.output.bias.data
+        return out, h, tape
+
     def infer_vjp(self, x: np.ndarray):
         """:meth:`infer` plus a vector-Jacobian product w.r.t. the input.
 
@@ -216,22 +235,45 @@ class MLP(Module):
         same order, so it equals the ``x.grad`` that backward leaves,
         bit for bit.  No ``Tensor`` is built and no ``.grad`` is touched.
         """
-        act = _NUMPY_ACTIVATIONS[self.activation]
         act_vjp = _NUMPY_ACTIVATION_VJPS[self.activation]
-        h = np.asarray(x, dtype=np.float64)
-        tape = []
-        for layer in self.hidden:
-            z = h @ layer.weight.data + layer.bias.data
-            h = act(z)
-            tape.append((layer.weight.data, z, h))
+        out, _, tape = self._infer_tape(x)
         out_weight = self.output.weight.data
-        out = h @ out_weight + self.output.bias.data
 
         def vjp(g_out: np.ndarray) -> np.ndarray:
             # Autograd copies every accumulated gradient to C order.
             g = np.ascontiguousarray(g_out, dtype=np.float64) @ out_weight.T
-            for weight, z, a in reversed(tape):
+            for weight, _, z, a in reversed(tape):
                 g = act_vjp(g, z, a) @ weight.T
             return g
+
+        return out, vjp
+
+    def infer_param_vjp(self, x: np.ndarray):
+        """:meth:`infer` plus a vector-Jacobian product w.r.t. the parameters.
+
+        Returns ``(out, vjp)``: ``out`` is ``infer(x)`` for a batch ``x`` of
+        shape (n, in_features), and ``vjp(g_out)`` is the list of gradients
+        of ``sum(g_out * out)``, one per parameter in :meth:`parameters`
+        order.  Each equals the ``.grad`` that ``forward(x)``'s autograd
+        backward leaves, bit for bit: ``h.T @ g`` for a weight and
+        ``g.sum(axis=(0,))`` for a bias, where ``g`` is the C-ordered
+        gradient of the layer output.  The input gradient is not formed.
+        """
+        act_vjp = _NUMPY_ACTIVATION_VJPS[self.activation]
+        out, last, tape = self._infer_tape(x)
+        out_weight = self.output.weight.data
+
+        def vjp(g_out: np.ndarray) -> list[np.ndarray]:
+            g = np.ascontiguousarray(g_out, dtype=np.float64)
+            grads = [g.sum(axis=(0,)), last.T @ g]
+            g = g @ out_weight.T
+            for i in range(len(tape) - 1, -1, -1):
+                weight, h, z, a = tape[i]
+                g = act_vjp(g, z, a)
+                grads += [g.sum(axis=(0,)), h.T @ g]
+                if i:
+                    g = g @ weight.T
+            grads.reverse()
+            return grads
 
         return out, vjp

@@ -85,7 +85,14 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba, 2015)."""
+    """Adam with bias correction (Kingma & Ba, 2015).
+
+    The moments live in two flat buffers (``_m``/``_v`` are C-ordered
+    views into them, one per parameter), so a step over parameters that
+    all have gradients runs one set of elementwise ops.  Each parameter is
+    updated in place and keeps its memory layout; the values are those of
+    the per-parameter update, bit for bit.
+    """
 
     def __init__(self, parameters, lr: float = 3e-4, betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8):
@@ -93,8 +100,18 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self._step = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
+        size = sum(p.data.size for p in self.parameters)
+        self._m_flat = np.zeros(size)
+        self._v_flat = np.zeros(size)
+        self._m = self._views(self._m_flat)
+        self._v = self._views(self._v_flat)
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        views, offset = [], 0
+        for p in self.parameters:
+            views.append(flat[offset:offset + p.data.size].reshape(p.data.shape))
+            offset += p.data.size
+        return views
 
     def state_dict(self) -> dict:
         return {**super().state_dict(), "betas": [self.beta1, self.beta2],
@@ -106,20 +123,39 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = (float(b) for b in state["betas"])
         self.eps = float(state["eps"])
         self._step = int(state["step"])
-        self._m = self._check_buffers(state["m"], "m")
-        self._v = self._check_buffers(state["v"], "v")
+        for views, name in ((self._m, "m"), (self._v, "v")):
+            for view, buf in zip(views, self._check_buffers(state[name], name)):
+                np.copyto(view, buf)
+
+    def _delta(self, grad, m, v, correction1: float, correction2: float):
+        """Advance the moments ``m``/``v`` in place; return the step to subtract."""
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        grad_sq = grad**2
+        grad_sq *= 1.0 - self.beta2
+        v += grad_sq
+        # lr * m_hat / (sqrt(v_hat) + eps), computed in two temporaries
+        step = m / correction1
+        step *= self.lr
+        denom = v / correction2
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        return step
 
     def step(self) -> None:
         self._step += 1
         correction1 = 1.0 - self.beta1**self._step
         correction2 = 1.0 - self.beta2**self._step
-        for p, m, v in zip(self.parameters, self._m, self._v):
-            if p.grad is None:
-                continue
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad**2
-            m_hat = m / correction1
-            v_hat = v / correction2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        grads = [p.grad for p in self.parameters]
+        if any(g is None for g in grads):
+            # Parameters without a gradient keep their moments untouched.
+            for p, g, m, v in zip(self.parameters, grads, self._m, self._v):
+                if g is not None:
+                    p.data -= self._delta(g, m, v, correction1, correction2)
+            return
+        flat_grad = np.concatenate([g.ravel() for g in grads])
+        delta = self._delta(flat_grad, self._m_flat, self._v_flat, correction1, correction2)
+        for p, d in zip(self.parameters, self._views(delta)):
+            p.data -= d

@@ -87,11 +87,17 @@ def check_gradients(parameters, what: str = "gradients",
     """Raise :class:`NumericalDivergence` if any parameter gradient is
     non-finite.  Call between ``backward()`` and ``optimizer.step()`` —
     the optimizer moments (and therefore every later checkpoint) stay
-    clean."""
-    for param in parameters:
+    clean.
+
+    ``parameters`` holds parameters or ``(name, parameter)`` pairs (as
+    ``Module.named_parameters()`` yields); with names, the error's
+    ``detail`` names the first non-finite one."""
+    for entry in parameters:
+        name, param = entry if isinstance(entry, tuple) else (None, entry)
         grad = getattr(param, "grad", None)
         if grad is None:
             continue
         if not np.isfinite(grad).all():
-            raise NumericalDivergence(what, stats=array_health(grad),
-                                      iteration=iteration)
+            raise NumericalDivergence(
+                what, stats=array_health(grad), iteration=iteration,
+                detail=f"first non-finite parameter {name}" if name else "")

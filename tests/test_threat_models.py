@@ -102,6 +102,18 @@ class TestStatePerturbationEnv:
         assert info["knn_victim"].shape == (11,)
         assert info["knn_adversary"].shape == (11,)
 
+    def test_knn_features_share_one_copy_apart_from_observation(self, tiny_victim, rng):
+        adv = StatePerturbationEnv(envs.make("Hopper-v0"), tiny_victim, epsilon=0.1)
+        adv.reset(seed=0)
+        obs, _, _, _, info = adv.step(rng.uniform(-1, 1, 11))
+        assert info["knn_victim"] is info["knn_adversary"]
+        assert np.array_equal(info["knn_victim"], obs)
+        assert not np.shares_memory(info["knn_victim"], obs)
+        # A wrapper that poisons the observation in place (FaultyEnv's NaN
+        # fault) leaves the density features intact.
+        obs[...] = np.nan
+        assert np.isfinite(info["knn_victim"]).all()
+
     def test_observation_is_normalized_victim_view(self, tiny_victim):
         adv = StatePerturbationEnv(envs.make("Hopper-v0"), tiny_victim, epsilon=0.1)
         obs = adv.reset(seed=5)
