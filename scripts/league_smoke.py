@@ -6,8 +6,11 @@ Runs a 2-attacker × 2-victim × 1-round league at the smallest
 store and asserts the league's core contracts:
 
 * the first run schedules exactly attackers × victims matches,
-* the cached rerun schedules **zero** matches, and
-* both runs produce byte-identical ``leaderboard.json`` artifacts.
+* the cached rerun schedules **zero** matches,
+* both runs produce byte-identical ``leaderboard.json`` artifacts,
+* the cached rerun changes no file under ``store/objects/`` (a re-put of
+  content the store already holds writes nothing), and
+* ``ArtifactStore.verify()`` finds no problem afterwards.
 
 Usage::
 
@@ -55,6 +58,13 @@ def run_cli(out_dir: Path, store_dir: Path, jobs: int, resume: bool) -> dict:
             if name.startswith(("league.", "store."))}
 
 
+def objects_snapshot(store_dir: Path) -> dict:
+    """Bytes and mtime of every file under the store's ``objects/``."""
+    return {path: (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in sorted((store_dir / "objects").rglob("*"))
+            if path.is_file()}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=None, metavar="DIR",
@@ -75,6 +85,7 @@ def main() -> int:
         raise SystemExit(f"cold run scheduled {scheduled} matches, "
                          f"expected {expected}")
     cold_bytes = (out_dir / "leaderboard.json").read_bytes()
+    cold_objects = objects_snapshot(store_dir)
 
     warm = run_cli(out_dir, store_dir, args.jobs, resume=True)
     print(f"[smoke] cached rerun counters: {warm}")
@@ -89,13 +100,23 @@ def main() -> int:
         raise SystemExit("leaderboard bytes differ between cold run and "
                          "cached replay — determinism contract broken")
 
+    warm_objects = objects_snapshot(store_dir)
+    changed = sorted(str(path.relative_to(store_dir))
+                     for path in set(cold_objects) | set(warm_objects)
+                     if cold_objects.get(path) != warm_objects.get(path))
+    if changed:
+        raise SystemExit(f"cached rerun wrote to the store: {changed}")
+
     store = ArtifactStore(store_dir)
+    problems = store.verify()
+    if problems:
+        raise SystemExit(f"store.verify() found problems: {problems}")
     kinds = sorted({entry.spec.get("kind") for entry in store.list()})
     print(f"[smoke] store holds {len(store)} artifacts ({', '.join(map(str, kinds))})")
     print((out_dir / "leaderboard.txt").read_text())
     print(f"[smoke] OK: {expected} matches scheduled once, replay was pure "
-          f"cache hits, leaderboard bytes identical ({len(cold_bytes)} bytes) "
-          f"-> {out_dir}")
+          f"cache hits and wrote nothing to the store, leaderboard bytes "
+          f"identical ({len(cold_bytes)} bytes) -> {out_dir}")
     return 0
 
 

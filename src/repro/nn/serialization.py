@@ -7,22 +7,100 @@ complete version or the new one.  ``durable=True`` additionally fsyncs
 the temp file *before* the rename and the directory after it, closing
 the power-loss window where the rename is journaled but the data pages
 are not (a committed name over truncated bytes).
+
+Reads go through :func:`decode_npz`, which decodes an archive held in
+memory: a caller that has already read the bytes (the artifact store
+hashes them first) decodes those same bytes instead of reopening the file.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import re
+import struct
 import tempfile
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from .modules import Module
 
-__all__ = ["save_state", "save_module", "load_state", "load_module"]
+__all__ = ["save_state", "save_module", "load_state", "load_module", "decode_npz"]
 
 _META_KEY = "__meta__"
+
+# The ``.npy`` v1.0 header exactly as ``np.lib.format`` writes it for a
+# dtype with a string descr: ``{'descr': '<f8', 'fortran_order': False,
+# 'shape': (3, 3), }`` padded with spaces and ended by a newline.
+_NPY_MAGIC = b"\x93NUMPY\x01\x00"
+_NPY_HEADER = re.compile(
+    r"\{'descr': '([^']+)', 'fortran_order': (True|False), "
+    r"'shape': \((|\d+,|\d+(?:, \d+)+)\), \} *\n")
+_ZIP_LOCAL = b"PK\x03\x04"
+
+
+def _decode_npy(raw) -> np.ndarray:
+    """One ``.npy`` member as a fresh, writable array in its stored order.
+
+    Headers in the exact form numpy writes are parsed here; any other
+    header (structured dtypes, format v2/v3) goes through
+    ``np.lib.format.read_array``, so the result always equals ``np.load``'s.
+    """
+    match = None
+    if raw[:8] == _NPY_MAGIC and len(raw) >= 10:
+        header_len = raw[8] | raw[9] << 8
+        match = _NPY_HEADER.fullmatch(str(raw[10:10 + header_len], "latin1"))
+    try:
+        dtype = None if match is None else np.dtype(match[1])
+    except TypeError:  # not a dtype: read_array raises its ValueError
+        dtype = None
+    if dtype is None or dtype.hasobject or dtype.itemsize == 0:
+        return np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
+    shape = tuple(int(dim) for dim in match[3].split(",") if dim)
+    count = 1
+    for dim in shape:
+        count *= dim
+    flat = np.frombuffer(raw, dtype=dtype, count=count, offset=10 + header_len).copy()
+    if match[2] == "True":
+        return flat.reshape(shape[::-1]).transpose()
+    return flat.reshape(shape)
+
+
+def decode_npz(data: bytes, skip: str | None = None) -> dict[str, np.ndarray]:
+    """Decode an ``.npz`` archive held in memory; arrays in archive order.
+
+    Equal to ``np.load(io.BytesIO(data), allow_pickle=False)`` member for
+    ``.npy`` member (values, dtype, shape, memory order, writeable), without a
+    second read or a per-member ``ast.literal_eval``.  Uncompressed
+    members are sliced straight out of ``data`` and CRC-checked;
+    compressed ones go through ``zipfile``.  The member named ``skip`` is
+    not decoded.  Raises ``zipfile.BadZipFile`` or ``ValueError`` on
+    damaged input.
+    """
+    view = memoryview(data)
+    arrays = {}
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        for info in archive.infolist():
+            name = info.filename[:-4] if info.filename.endswith(".npy") else info.filename
+            if name == skip:
+                continue
+            if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 1:
+                arrays[name] = _decode_npy(archive.read(info))
+                continue
+            offset = info.header_offset
+            if data[offset:offset + 4] != _ZIP_LOCAL or offset + 30 > len(data):
+                raise zipfile.BadZipFile(f"bad local header for {info.filename!r}")
+            name_len, extra_len = struct.unpack_from("<HH", data, offset + 26)
+            start = offset + 30 + name_len + extra_len
+            raw = view[start:start + info.compress_size]
+            if len(raw) != info.compress_size or zlib.crc32(raw) != info.CRC:
+                raise zipfile.BadZipFile(f"bad CRC-32 for {info.filename!r}")
+            arrays[name] = _decode_npy(raw)
+    return arrays
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -81,14 +159,9 @@ def save_module(module: Module, path: str | Path, metadata: dict | None = None) 
 
 def load_state(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Load a state dict and its metadata from an ``.npz`` checkpoint."""
-    with np.load(Path(path), allow_pickle=False) as archive:
-        metadata = {}
-        state = {}
-        for key in archive.files:
-            if key == _META_KEY:
-                metadata = json.loads(archive[key].tobytes().decode("utf-8"))
-            else:
-                state[key] = archive[key]
+    state = decode_npz(Path(path).read_bytes())
+    meta = state.pop(_META_KEY, None)
+    metadata = {} if meta is None else json.loads(meta.tobytes().decode("utf-8"))
     return state, metadata
 
 

@@ -21,9 +21,12 @@ pass, so they are always on.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["NumericalDivergence", "array_health", "check_finite", "check_gradients"]
+__all__ = ["NumericalDivergence", "array_health", "check_finite", "check_gradients",
+           "clip_checked_gradients"]
 
 
 class NumericalDivergence(RuntimeError):
@@ -101,3 +104,35 @@ def check_gradients(parameters, what: str = "gradients",
             raise NumericalDivergence(
                 what, stats=array_health(grad), iteration=iteration,
                 detail=f"first non-finite parameter {name}" if name else "")
+
+
+def clip_checked_gradients(named_parameters, max_norm: float,
+                           iteration: int | None = None) -> float:
+    """:func:`check_gradients` then ``nn.clip_grad_norm``, in one pass.
+
+    Same error, norm and scaled gradients as calling the two in turn.
+    The per-parameter square sums come first, in ``clip_grad_norm``'s
+    order; a finite square sum implies a finite gradient, so
+    ``np.isfinite`` runs only on a gradient whose sum is not finite (a
+    finite gradient whose square overflows passes, and is clipped).
+    Raises before any gradient is scaled, naming the first non-finite
+    parameter of the ``(name, parameter)`` pairs.
+    """
+    params, squares = [], []
+    for name, param in named_parameters:
+        grad = param.grad
+        if grad is None:
+            continue
+        square = float((grad**2).sum())
+        if not math.isfinite(square) and not np.isfinite(grad).all():
+            raise NumericalDivergence(
+                "gradients", stats=array_health(grad), iteration=iteration,
+                detail=f"first non-finite parameter {name}")
+        params.append(param)
+        squares.append(square)
+    total = float(np.sqrt(sum(squares)))
+    if total > max_norm and total > 0.0:
+        scale = max_norm / total
+        for param in params:
+            param.grad = param.grad * scale
+    return total

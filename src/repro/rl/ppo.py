@@ -17,7 +17,7 @@ from .. import nn
 from ..nn import Tensor
 from ..nn import functional as F
 from ..telemetry import profiled
-from .health import check_finite, check_gradients
+from .health import check_finite, clip_checked_gradients
 from .policy import ActorCritic
 
 __all__ = ["PPOConfig", "PPOUpdater", "ppo_loss"]
@@ -126,8 +126,7 @@ class PPOUpdater:
         # minibatch leaves parameters and moments exactly as checkpointed.
         check_finite("loss", terms["loss"], max_abs=cfg.max_loss_magnitude)
         backward()
-        check_gradients(self._named_parameters)
-        nn.clip_grad_norm(self.optimizer.parameters, cfg.max_grad_norm)
+        clip_checked_gradients(self._named_parameters, cfg.max_grad_norm)
         self.optimizer.step()
 
         log_ratio = terms["log_probs"] - old_log_probs

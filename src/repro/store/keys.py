@@ -22,20 +22,31 @@ import math
 
 import numpy as np
 
-__all__ = ["canonicalize", "canonical_json", "spec_key", "state_fingerprint"]
+__all__ = ["canonicalize", "canonical_json", "canonical_key", "matches_canonical",
+           "spec_key", "state_fingerprint"]
+
+
+_PLAIN_SCALARS = frozenset((str, int, bool, type(None)))
 
 
 def canonicalize(obj):
     """Normalize ``obj`` into plain JSON types with deterministic structure."""
+    # Exact builtin types first: a spec is almost entirely plain dicts,
+    # lists and scalars, and these branches skip the dataclass and numpy
+    # probes.  Every other type, subclasses included, takes the checks below.
+    cls = type(obj)
+    if cls in _PLAIN_SCALARS:
+        return obj
+    if cls is dict:
+        return _canonical_dict(obj)
+    if cls is list or cls is tuple:
+        return [canonicalize(item) for item in obj]
+    if cls is float:
+        return _finite(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return canonicalize(dataclasses.asdict(obj))
     if isinstance(obj, dict):
-        out = {}
-        for key in sorted(obj, key=str):
-            if not isinstance(key, str):
-                raise TypeError(f"spec keys must be strings, got {key!r}")
-            out[key] = canonicalize(obj[key])
-        return out
+        return _canonical_dict(obj)
     if isinstance(obj, (list, tuple)):
         return [canonicalize(item) for item in obj]
     if isinstance(obj, np.ndarray):
@@ -45,21 +56,86 @@ def canonicalize(obj):
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"spec floats must be finite, got {obj!r}")
-        return obj
+        return _finite(obj)
     raise TypeError(f"cannot canonicalize {type(obj).__name__} for a spec key")
+
+
+def _canonical_dict(obj) -> dict:
+    out = {}
+    for key in sorted(obj, key=str):
+        if not isinstance(key, str):
+            raise TypeError(f"spec keys must be strings, got {key!r}")
+        out[key] = canonicalize(obj[key])
+    return out
+
+
+def _finite(obj: float) -> float:
+    if not math.isfinite(obj):
+        raise ValueError(f"spec floats must be finite, got {obj!r}")
+    return obj
+
+
+def matches_canonical(canonical, obj) -> bool:
+    """Is ``canonical`` (plain JSON values, e.g. a parsed sidecar) exactly
+    what ``canonicalize(obj)`` gives — the same canonical JSON?
+
+    Walks ``obj`` without building its canonical copy.  Exact builtin
+    types are compared in place, with ``type`` checks so that ``True``,
+    ``1`` and ``1.0`` (and ``0.0`` and ``-0.0``) stay distinct; anything
+    else is compared through ``canonical_json``.  An ``obj`` that cannot
+    be canonicalized matches nothing.
+    """
+    cls = type(obj)
+    if cls is dict:
+        if type(canonical) is not dict or len(canonical) != len(obj):
+            return False
+        for key, value in obj.items():
+            if type(key) is not str:
+                return _matches_general(canonical, obj)
+            if key not in canonical or not matches_canonical(canonical[key], value):
+                return False
+        return True
+    if cls is list or cls is tuple:
+        if type(canonical) is not list or len(canonical) != len(obj):
+            return False
+        return all(matches_canonical(c, o) for c, o in zip(canonical, obj))
+    if cls is float:
+        return (type(canonical) is float and canonical == obj and math.isfinite(obj)
+                and math.copysign(1.0, canonical) == math.copysign(1.0, obj))
+    if cls in _PLAIN_SCALARS:
+        return type(canonical) is cls and canonical == obj
+    return _matches_general(canonical, obj)
+
+
+def _matches_general(canonical, obj) -> bool:
+    try:
+        return _dumps(canonical) == canonical_json(obj)
+    except (TypeError, ValueError):
+        return False
+
+
+def _dumps(canonical) -> str:
+    return json.dumps(canonical, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=True, allow_nan=False)
 
 
 def canonical_json(obj) -> str:
     """The canonical serialized form: sorted keys, no whitespace, no NaN."""
-    return json.dumps(canonicalize(obj), sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True, allow_nan=False)
+    return _dumps(canonicalize(obj))
 
 
 def spec_key(spec) -> str:
     """SHA-256 (hex) of the canonical JSON form of ``spec``."""
-    return hashlib.sha256(canonical_json(spec).encode("utf-8")).hexdigest()
+    return canonical_key(canonicalize(spec))
+
+
+def canonical_key(canonical) -> str:
+    """``spec_key`` of a spec that is already ``canonicalize``\\ d.
+
+    ``canonicalize`` is idempotent, so this equals ``spec_key(canonical)``
+    without walking the tree a second time.
+    """
+    return hashlib.sha256(_dumps(canonical).encode("utf-8")).hexdigest()
 
 
 def state_fingerprint(state: dict[str, np.ndarray]) -> str:

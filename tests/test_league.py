@@ -134,6 +134,38 @@ class TestLeagueReplay:
         assert _counter_value(replay_telemetry, "store.hits") >= 2
         assert (tmp_path / "out2" / "leaderboard.json").read_bytes() == first_bytes
 
+    def test_replay_writes_nothing_to_the_store(self, tmp_path):
+        config = LeagueConfig(**SMALL)
+        store = ArtifactStore(tmp_path / "store")
+        run_league(config, store=store, out_dir=tmp_path / "out")
+        objects = store.objects_dir
+
+        def snapshot():
+            return {path: (path.read_bytes(), path.stat().st_mtime_ns)
+                    for path in sorted(objects.rglob("*")) if path.is_file()}
+
+        before = snapshot()
+        telemetry = Telemetry.in_memory()
+        with use_telemetry(telemetry):
+            replay = run_league(config, store=store, out_dir=tmp_path / "out")
+        assert replay.matches_cached == 2
+        assert snapshot() == before
+        assert _counter_value(telemetry, "store.put_unchanged") == 1
+        assert _counter_value(telemetry, "store.put_conflicts") == 0
+
+        # A damaged leaderboard blob is rewritten by the next replay.
+        board = [entry for entry in store.list()
+                 if entry.spec["kind"] == "league_leaderboard"]
+        assert len(board) == 1
+        with open(board[0].path, "r+b") as fh:
+            fh.truncate(board[0].nbytes // 2)
+        assert store.verify() != []
+        run_league(config, store=store, out_dir=tmp_path / "out")
+        assert store.verify() == []
+        state, _ = store.get(board[0].spec)
+        assert state["leaderboard"].tobytes() == (
+            tmp_path / "out" / "leaderboard.json").read_bytes()
+
     def test_pool_lane_matches_inline_bytes(self, tmp_path):
         """Same league, fresh stores, different lanes -> same bytes."""
         from repro.runtime import WorkerPool

@@ -18,7 +18,7 @@ from repro.defenses.detection import DynamicsModel
 from repro.nn import Adam, Tensor
 from repro.nn import functional as F
 from repro.rl import ActorCritic, NumericalDivergence, PPOConfig, PPOUpdater, check_gradients
-from repro.rl.health import check_finite
+from repro.rl.health import check_finite, clip_checked_gradients
 
 OBS_DIM, ACTION_DIM = 11, 3
 
@@ -331,6 +331,48 @@ def test_check_gradients_names_first_non_finite_parameter():
     with pytest.raises(NumericalDivergence) as excinfo:
         check_gradients(policy.parameters())
     assert excinfo.value.detail == ""
+
+
+@pytest.mark.parametrize("case", ["clipped", "below", "no_grad", "overflow",
+                                  "nan", "inf_after_overflow"])
+def test_clip_checked_gradients_matches_check_then_clip(case):
+    """One pass gives check_gradients' error, or clip_grad_norm's norm and
+    scaled gradients, bit for bit."""
+    def policy_with_grads():
+        policy = make_policy(False)
+        rng = np.random.default_rng(5)
+        for p in policy.parameters():
+            p.grad = rng.normal(size=p.data.shape) * (1e-4 if case == "below" else 3.0)
+        named = dict(policy.named_parameters())
+        if case == "no_grad":
+            named["actor.layer0.bias"].grad = None
+        if case in ("overflow", "inf_after_overflow"):
+            named["actor.layer0.weight"].grad[0, 0] = 1e200  # finite, square is inf
+        if case == "nan":
+            named["actor.output.weight"].grad[1, 2] = np.nan
+        if case == "inf_after_overflow":
+            named["critic.layer0.bias"].grad[0] = -np.inf
+        return policy
+
+    new, ref = policy_with_grads(), policy_with_grads()
+    with np.errstate(all="ignore"):
+        try:
+            check_gradients(ref.named_parameters())
+            expected = nn.clip_grad_norm(ref.parameters(), 0.5)
+        except NumericalDivergence as exc:
+            expected = exc
+        if isinstance(expected, NumericalDivergence):
+            with pytest.raises(NumericalDivergence) as excinfo:
+                clip_checked_gradients(new.named_parameters(), 0.5)
+            assert excinfo.value.detail == expected.detail
+            assert excinfo.value.stats == expected.stats
+        else:
+            assert same_bits(clip_checked_gradients(new.named_parameters(), 0.5), expected)
+    assert isinstance(expected, NumericalDivergence) == (case in ("nan", "inf_after_overflow"))
+    for (name, p), q in zip(new.named_parameters(), ref.parameters()):
+        assert (p.grad is None) == (q.grad is None), name
+        if p.grad is not None:
+            assert same_bits(p.grad, q.grad), name
 
 
 # ------------------------------------------------------------- flat Adam

@@ -3,7 +3,11 @@ optimizer state round-trips, and the store-gc CLI."""
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from repro.store import (
     split_tree,
     state_fingerprint,
 )
+from repro.store.keys import matches_canonical
 
 # --- canonicalization ---------------------------------------------------
 
@@ -95,6 +100,122 @@ class TestCanonicalKeys:
             {"w": np.ones((2, 2)), "b": np.ones(2)})
         assert state_fingerprint({"w": np.ones(4)}) != state_fingerprint(
             {"w2": np.ones(4)})
+
+
+# --- canonicalize against its pre-fast-path form ------------------------
+
+def reference_canonicalize(obj):
+    """``canonicalize`` before the exact-type fast path, kept verbatim."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return reference_canonicalize(dataclasses.asdict(obj))
+    if isinstance(obj, dict):
+        out = {}
+        for key in sorted(obj, key=str):
+            if not isinstance(key, str):
+                raise TypeError(f"spec keys must be strings, got {key!r}")
+            out[key] = reference_canonicalize(obj[key])
+        return out
+    if isinstance(obj, (list, tuple)):
+        return [reference_canonicalize(item) for item in obj]
+    if isinstance(obj, np.ndarray):
+        return reference_canonicalize(obj.tolist())
+    if isinstance(obj, (np.generic,)):
+        return reference_canonicalize(obj.item())
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"spec floats must be finite, got {obj!r}")
+        return obj
+    raise TypeError(f"cannot canonicalize {type(obj).__name__} for a spec key")
+
+
+def reference_json(obj) -> str:
+    return json.dumps(reference_canonicalize(obj), sort_keys=True,
+                      separators=(",", ":"), ensure_ascii=True, allow_nan=False)
+
+
+class Tag(str):
+    pass
+
+
+class Level(int):
+    pass
+
+
+@dataclasses.dataclass
+class Cell:
+    name: str
+    budget: int
+    lr: float
+    sizes: tuple
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+spec_leaves = st.one_of(
+    json_scalars,
+    st.sampled_from([0, 1, 0.0, -0.0, 1.0, True, False]),
+    st.integers(-2**40, 2**40).map(np.int64),
+    finite.map(np.float64),
+    st.floats(-1e3, 1e3, width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+    st.text(max_size=4).map(Tag),
+    st.integers(-9, 9).map(Level),
+    st.lists(finite, max_size=3).map(np.array),
+    st.lists(st.integers(-9, 9), max_size=4).map(lambda xs: np.array(xs, dtype=np.int32)),
+    st.builds(Cell, st.text(max_size=4), st.integers(0, 99), finite,
+              st.tuples(st.integers(1, 64), st.integers(1, 64))),
+)
+spec_trees = st.recursive(
+    spec_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=5), st.text(max_size=3).map(Tag)),
+                        children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestCanonicalizeMatchesReference:
+    @settings(deadline=None, max_examples=300)
+    @given(tree=spec_trees)
+    def test_same_canonical_json(self, tree):
+        assert canonical_json(tree) == reference_json(tree)
+        assert spec_key(tree) == spec_key(json.loads(reference_json(tree)))
+
+    @pytest.mark.parametrize("bad", [
+        {"a": [1.0, float("nan")]},
+        {"a": {"b": np.float64("inf")}},
+        (float("-inf"),),
+        {"a": np.array([0.5, np.nan])},
+        {1: "x", "b": 2},
+        {"a": {"c": 1, 2.5: "y"}},
+        {"a": [Cell("c", 1, float("nan"), (1, 2))]},
+        {"a": object()},
+    ])
+    def test_same_exceptions(self, bad):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            reference_canonicalize(bad)
+        with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+            canonicalize(bad)
+
+    @settings(deadline=None, max_examples=300)
+    @given(a=spec_trees, b=spec_trees)
+    def test_matches_canonical_is_canonical_json_equality(self, a, b):
+        parsed = json.loads(canonical_json(a))
+        assert matches_canonical(parsed, a)
+        assert matches_canonical(parsed, b) == (canonical_json(b) == canonical_json(a))
+
+    def test_matches_canonical_keeps_types_apart(self):
+        for stored, obj in [(1, 1.0), (1, True), (0.0, -0.0), (-0.0, 0.0),
+                            ([1], (1.0,)), ({"a": 1}, {"a": 1, "b": 2})]:
+            assert not matches_canonical(stored, obj)
+        assert matches_canonical([1, 0.5], (np.int64(1), np.float64(0.5)))
+        assert not matches_canonical({"a": 1.0}, {"a": float("nan")})
+        assert not matches_canonical(1.0, float("inf"))
+        assert not matches_canonical({"1": "x"}, {1: "x"})
 
 
 # --- state-tree flattening ----------------------------------------------
@@ -470,4 +591,132 @@ class TestCrashConsistency:
         store.put(SPEC, _state(3.0))  # retraining the cell repairs in place
         state, _ = store.get(SPEC)
         np.testing.assert_array_equal(state["w"], np.full((3, 3), 3.0))
+        assert store.verify() == []
+
+
+def _files(root) -> dict:
+    """Every file under ``root``: bytes and st_mtime_ns."""
+    return {path: (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestReput:
+    """A put of content the store already holds writes nothing; a put of
+    different content overwrites, counted; a damaged entry is rewritten."""
+
+    @staticmethod
+    def _store(tmp_path):
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry.in_memory()
+        return ArtifactStore(tmp_path / "store", telemetry=telemetry), telemetry
+
+    @staticmethod
+    def _counters(telemetry) -> dict:
+        return {name: value for name, value in
+                telemetry.metrics.snapshot()["counters"].items()
+                if name.startswith("store.")}
+
+    def test_equal_reput_writes_nothing(self, tmp_path, monkeypatch):
+        import os as os_mod
+
+        store, telemetry = self._store(tmp_path)
+        first = store.put(SPEC, _state(2.0), metadata={"obs_dim": 11, "lr": 0.5})
+        before = _files(store.objects_dir)
+        fsyncs = []
+        monkeypatch.setattr(os_mod, "fsync", lambda fd: fsyncs.append(fd))
+        # Same content through different but canonically equal values.
+        again = store.put(dict(reversed(SPEC.items())),
+                          {"w": np.full((3, 3), 2.0), "b": np.zeros(3)},
+                          metadata={"lr": np.float64(0.5), "obs_dim": np.int64(11)})
+        assert fsyncs == []
+        assert _files(store.objects_dir) == before
+        assert again == first
+        assert self._counters(telemetry) == {"store.put_unchanged": 1.0}
+        assert store.verify() == []
+
+    @pytest.mark.parametrize("change", [
+        "value", "dtype", "shape", "memory_order", "extra_array", "array_order",
+        "metadata_value", "metadata_int_vs_float", "metadata_signed_zero",
+    ])
+    def test_different_content_overwrites_and_counts(self, tmp_path, change):
+        store, telemetry = self._store(tmp_path)
+        w = np.arange(6.0).reshape(2, 3)
+        state = {"w": w, "b": np.zeros(3)}
+        metadata = {"score": 0.0, "n": 1}
+        store.put(SPEC, state, metadata=metadata)
+        before = _files(store.objects_dir)
+        state = dict(state)
+        metadata = dict(metadata)
+        if change == "value":
+            state["w"] = w + 1.0
+        elif change == "dtype":
+            state["w"] = w.astype(np.float32)
+        elif change == "shape":
+            state["w"] = w.reshape(3, 2)
+        elif change == "memory_order":
+            state["w"] = np.asfortranarray(w)
+        elif change == "extra_array":
+            state["c"] = np.ones(1)
+        elif change == "array_order":
+            state = {"b": state["b"], "w": state["w"]}
+        elif change == "metadata_value":
+            metadata["n"] = 2
+        elif change == "metadata_int_vs_float":
+            metadata["n"] = 1.0
+        elif change == "metadata_signed_zero":
+            metadata["score"] = -0.0
+        entry = store.put(SPEC, state, metadata=metadata)
+        after = _files(store.objects_dir)
+        assert after[entry.path] != before[entry.path]
+        assert after[entry.sidecar] != before[entry.sidecar]
+        assert self._counters(telemetry) == {"store.put_conflicts": 1.0}
+        got, got_entry = store.get(SPEC)
+        assert list(got) == list(state)
+        for name, value in state.items():
+            assert got[name].dtype == value.dtype
+            assert got[name].flags.f_contiguous == value.flags.f_contiguous
+            assert got[name].tobytes("A") == value.tobytes("A")
+        assert canonical_json(got_entry.metadata) == canonical_json(metadata)
+        assert store.verify() == []
+
+    @pytest.mark.parametrize("damage", ["truncate", "bitflip", "undecodable", "delete"])
+    def test_damaged_entry_is_a_counted_miss_and_reput_repairs(self, tmp_path, damage):
+        store, telemetry = self._store(tmp_path)
+        entry = store.put(SPEC, _state(4.0))
+        data = entry.path.read_bytes()
+        if damage == "truncate":
+            entry.path.write_bytes(data[:len(data) // 2])
+        elif damage == "bitflip":
+            flipped = bytearray(data)
+            flipped[len(flipped) // 2] ^= 0xFF
+            entry.path.write_bytes(bytes(flipped))
+        elif damage == "undecodable":
+            # Garbage whose size and hash the sidecar vouches for: only
+            # decoding can tell.
+            garbage = b"not a zip archive".ljust(len(data), b"\0")
+            entry.path.write_bytes(garbage)
+            doc = json.loads(entry.sidecar.read_text())
+            doc["blob_sha256"] = hashlib.sha256(garbage).hexdigest()
+            entry.sidecar.write_text(json.dumps(doc))
+        else:
+            entry.path.unlink()
+        assert store.verify() != []
+        assert store.get(SPEC) is None
+        assert store.get({**SPEC, "seed": 99}) is None  # a plain miss
+        assert self._counters(telemetry) == {"store.corrupt": 1.0, "store.misses": 2.0}
+        store.put(SPEC, _state(4.0))  # neither unchanged nor a conflict
+        assert self._counters(telemetry) == {"store.corrupt": 1.0, "store.misses": 2.0}
+        state, _ = store.get(SPEC)
+        np.testing.assert_array_equal(state["w"], np.full((3, 3), 4.0))
+        assert store.verify() == []
+
+    def test_tampered_sidecar_spec_is_rewritten(self, tmp_path):
+        store, telemetry = self._store(tmp_path)
+        entry = store.put(SPEC, _state())
+        doc = json.loads(entry.sidecar.read_text())
+        doc["spec"]["seed"] = 99
+        entry.sidecar.write_text(json.dumps(doc))
+        store.put(SPEC, _state())
+        assert self._counters(telemetry) == {"store.put_conflicts": 1.0}
         assert store.verify() == []
