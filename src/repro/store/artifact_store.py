@@ -37,7 +37,7 @@ import numpy as np
 
 from ..nn.serialization import _META_KEY, _fsync_dir, decode_npz, save_state
 from ..telemetry import current_telemetry
-from .keys import canonical_key, canonicalize, matches_canonical, spec_key
+from .keys import canonical_key, canonicalize, spec_key
 
 __all__ = ["ArtifactEntry", "ArtifactStore", "default_store_root", "default_store"]
 
@@ -77,6 +77,13 @@ _DECODE_ERRORS = (ValueError, EOFError, NotImplementedError, zipfile.BadZipFile,
 
 class _Corrupt(Exception):
     """A committed sidecar whose artifact cannot be served; str() says why."""
+
+
+def _same_json(stored, canonical) -> bool:
+    """Does ``canonical`` serialize as ``stored`` (a parsed sidecar value)
+    does?  JSON text keeps ``1``, ``1.0``, ``true`` and ``-0.0`` apart,
+    which ``==`` does not."""
+    return json.dumps(stored, sort_keys=True) == json.dumps(canonical, sort_keys=True)
 
 
 def _same_arrays(stored: dict[str, np.ndarray], state: dict) -> bool:
@@ -206,7 +213,9 @@ class ArtifactStore:
 
         A re-put of content the store already holds — an intact committed
         entry with equal canonical spec and metadata and equal arrays —
-        writes nothing and returns that entry.  Anything else (no entry,
+        writes nothing and returns that entry, ``created_at`` included.
+        A sidecar from before integrity tracking is rewritten, so that it
+        gains the blob's SHA-256.  Anything else (no entry,
         a damaged one, different content) is written: both the blob and
         its sidecar are fsynced before their renames (and the containing
         directory after), so a power cut can lose an in-flight put
@@ -217,22 +226,24 @@ class ArtifactStore:
         """
         spec = canonicalize(spec)
         key = canonical_key(spec)
-        metadata = metadata or {}
+        metadata = canonicalize(metadata or {})
         try:
             committed = self._load(key)
         except _Corrupt:
             committed = None
         if committed is not None:
             stored, entry = committed
-            if (entry.key == key and matches_canonical(entry.spec, spec)
-                    and matches_canonical(entry.metadata, metadata)
+            if not (entry.key == key and _same_json(entry.spec, spec)
+                    and _same_json(entry.metadata, metadata)
                     and _same_arrays(stored, state)):
+                self._count("store.put_conflicts")
+            elif entry.blob_sha256 is not None:
                 self._cache_invalidate(key)
                 self._count("store.put_unchanged")
                 self._record("produced", entry)
                 return entry
-            self._count("store.put_conflicts")
-        metadata = canonicalize(metadata)
+            # else: equal content under a legacy sidecar; rewriting it
+            # records the blob's SHA-256.
         blob_path, sidecar_path = self._paths(key)
         save_state(state, blob_path, metadata={"key": key, "spec": spec},
                    durable=True)
@@ -403,7 +414,9 @@ class ArtifactStore:
 
         ``keep_latest=N`` keeps the N newest artifacts *per group* (kind
         + env/game + defense/attack — i.e. per logical cell family) and
-        removes older ones.  ``predicate(entry) -> bool`` removes the
+        removes older ones.  "Newest" is ``created_at``, the time the
+        content was first written: a re-put of unchanged content does not
+        refresh it.  ``predicate(entry) -> bool`` removes the
         entries it selects.  Orphan blobs (no sidecar) are always swept.
         """
         removed: list[ArtifactEntry] = []
@@ -460,6 +473,8 @@ class ArtifactStore:
                 self._load(key)
             except _Corrupt as exc:
                 problems.append(f"{key}: {exc}")
+            except Exception as exc:  # noqa: BLE001 — report, don't crash the scan
+                problems.append(f"{key}: blob unreadable ({exc})")
         for blob in sorted(self.objects_dir.glob("*/*.npz")):
             if not blob.with_suffix(".json").exists():
                 problems.append(f"{blob.stem}: orphan blob (no sidecar)")

@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-__all__ = ["canonicalize", "canonical_json", "canonical_key", "matches_canonical",
-           "spec_key", "state_fingerprint"]
+__all__ = ["canonicalize", "canonical_json", "canonical_key", "spec_key",
+           "state_fingerprint"]
 
 
 _PLAIN_SCALARS = frozenset((str, int, bool, type(None)))
@@ -73,45 +73,6 @@ def _finite(obj: float) -> float:
     if not math.isfinite(obj):
         raise ValueError(f"spec floats must be finite, got {obj!r}")
     return obj
-
-
-def matches_canonical(canonical, obj) -> bool:
-    """Is ``canonical`` (plain JSON values, e.g. a parsed sidecar) exactly
-    what ``canonicalize(obj)`` gives — the same canonical JSON?
-
-    Walks ``obj`` without building its canonical copy.  Exact builtin
-    types are compared in place, with ``type`` checks so that ``True``,
-    ``1`` and ``1.0`` (and ``0.0`` and ``-0.0``) stay distinct; anything
-    else is compared through ``canonical_json``.  An ``obj`` that cannot
-    be canonicalized matches nothing.
-    """
-    cls = type(obj)
-    if cls is dict:
-        if type(canonical) is not dict or len(canonical) != len(obj):
-            return False
-        for key, value in obj.items():
-            if type(key) is not str:
-                return _matches_general(canonical, obj)
-            if key not in canonical or not matches_canonical(canonical[key], value):
-                return False
-        return True
-    if cls is list or cls is tuple:
-        if type(canonical) is not list or len(canonical) != len(obj):
-            return False
-        return all(matches_canonical(c, o) for c, o in zip(canonical, obj))
-    if cls is float:
-        return (type(canonical) is float and canonical == obj and math.isfinite(obj)
-                and math.copysign(1.0, canonical) == math.copysign(1.0, obj))
-    if cls in _PLAIN_SCALARS:
-        return type(canonical) is cls and canonical == obj
-    return _matches_general(canonical, obj)
-
-
-def _matches_general(canonical, obj) -> bool:
-    try:
-        return _dumps(canonical) == canonical_json(obj)
-    except (TypeError, ValueError):
-        return False
 
 
 def _dumps(canonical) -> str:

@@ -26,7 +26,6 @@ from repro.store import (
     split_tree,
     state_fingerprint,
 )
-from repro.store.keys import matches_canonical
 
 # --- canonicalization ---------------------------------------------------
 
@@ -200,22 +199,6 @@ class TestCanonicalizeMatchesReference:
             reference_canonicalize(bad)
         with pytest.raises(expected.type, match=re.escape(str(expected.value))):
             canonicalize(bad)
-
-    @settings(deadline=None, max_examples=300)
-    @given(a=spec_trees, b=spec_trees)
-    def test_matches_canonical_is_canonical_json_equality(self, a, b):
-        parsed = json.loads(canonical_json(a))
-        assert matches_canonical(parsed, a)
-        assert matches_canonical(parsed, b) == (canonical_json(b) == canonical_json(a))
-
-    def test_matches_canonical_keeps_types_apart(self):
-        for stored, obj in [(1, 1.0), (1, True), (0.0, -0.0), (-0.0, 0.0),
-                            ([1], (1.0,)), ({"a": 1}, {"a": 1, "b": 2})]:
-            assert not matches_canonical(stored, obj)
-        assert matches_canonical([1, 0.5], (np.int64(1), np.float64(0.5)))
-        assert not matches_canonical({"a": 1.0}, {"a": float("nan")})
-        assert not matches_canonical(1.0, float("inf"))
-        assert not matches_canonical({"1": "x"}, {1: "x"})
 
 
 # --- state-tree flattening ----------------------------------------------
@@ -614,7 +597,7 @@ class TestReput:
     @staticmethod
     def _counters(telemetry) -> dict:
         return {name: value for name, value in
-                telemetry.metrics.snapshot()["counters"].items()
+                telemetry.metrics.snapshot().get("counters", {}).items()
                 if name.startswith("store.")}
 
     def test_equal_reput_writes_nothing(self, tmp_path, monkeypatch):
@@ -720,3 +703,57 @@ class TestReput:
         store.put(SPEC, _state())
         assert self._counters(telemetry) == {"store.put_conflicts": 1.0}
         assert store.verify() == []
+
+    def test_legacy_sidecar_reput_records_hash(self, tmp_path):
+        store, telemetry = self._store(tmp_path)
+        entry = store.put(SPEC, _state())
+        doc = json.loads(entry.sidecar.read_text())
+        del doc["blob_sha256"]  # sidecar from before integrity tracking
+        entry.sidecar.write_text(json.dumps(doc))
+        again = store.put(SPEC, _state())  # equal content: rewritten, uncounted
+        assert json.loads(entry.sidecar.read_text())["blob_sha256"] == again.blob_sha256
+        assert again.blob_sha256 == hashlib.sha256(entry.path.read_bytes()).hexdigest()
+        assert self._counters(telemetry) == {}
+        assert store.verify() == []
+
+    def test_unchanged_reput_keeps_created_at_for_prune(self, tmp_path):
+        store, telemetry = self._store(tmp_path)
+        for seed in range(2):
+            entry = store.put({**SPEC, "seed": seed}, _state(seed))
+            doc = json.loads(entry.sidecar.read_text())
+            doc["created_at"] = float(seed)
+            entry.sidecar.write_text(json.dumps(doc))
+        # Re-producing the older artifact does not make it the newer one.
+        again = store.put({**SPEC, "seed": 0}, _state(0))
+        assert again.created_at == 0.0
+        assert self._counters(telemetry) == {"store.put_unchanged": 1.0}
+        removed = store.prune(keep_latest=1)
+        assert [e.spec["seed"] for e in removed] == [0]
+        assert [e.spec["seed"] for e in store.list()] == [1]
+
+    def test_non_finite_metadata_reput_raises_uncounted(self, tmp_path):
+        store, telemetry = self._store(tmp_path)
+        store.put(SPEC, _state(), metadata={"score": 1.0})
+        before = _files(store.objects_dir)
+        with pytest.raises(ValueError, match="finite"):
+            store.put(SPEC, _state(), metadata={"score": float("nan")})
+        assert self._counters(telemetry) == {}
+        assert _files(store.objects_dir) == before
+
+
+def test_verify_reports_unexpected_decode_errors(tmp_path, monkeypatch):
+    """A blob that fails to decode in an unforeseen way is a reported
+    problem, and the scan goes on to the next artifact."""
+    import repro.store.artifact_store as artifact_store
+
+    store = ArtifactStore(tmp_path / "store")
+    for seed in range(2):
+        store.put({**SPEC, "seed": seed}, _state(seed))
+
+    def broken(*args, **kwargs):
+        raise KeyError("unexpected")
+
+    monkeypatch.setattr(artifact_store, "decode_npz", broken)
+    problems = store.verify()
+    assert len(problems) == 2
+    assert all("blob unreadable" in p and "unexpected" in p for p in problems)
