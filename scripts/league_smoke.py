@@ -9,7 +9,9 @@ store and asserts the league's core contracts:
 * the cached rerun schedules **zero** matches,
 * both runs produce byte-identical ``leaderboard.json`` artifacts,
 * the cached rerun changes no file under ``store/objects/`` (a re-put of
-  content the store already holds writes nothing), and
+  content the store already holds writes nothing) and no file in the
+  league's output directory (each is written only when its bytes
+  change), and
 * ``ArtifactStore.verify()`` finds no problem afterwards.
 
 Usage::
@@ -58,11 +60,16 @@ def run_cli(out_dir: Path, store_dir: Path, jobs: int, resume: bool) -> dict:
             if name.startswith(("league.", "store."))}
 
 
-def objects_snapshot(store_dir: Path) -> dict:
-    """Bytes and mtime of every file under the store's ``objects/``."""
+def files_snapshot(root: Path) -> dict:
+    """Bytes and mtime of every file under ``root``."""
     return {path: (path.read_bytes(), path.stat().st_mtime_ns)
-            for path in sorted((store_dir / "objects").rglob("*"))
-            if path.is_file()}
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def changed_files(before: dict, after: dict, root: Path) -> list[str]:
+    return sorted(str(path.relative_to(root))
+                  for path in set(before) | set(after)
+                  if before.get(path) != after.get(path))
 
 
 def main() -> int:
@@ -85,7 +92,8 @@ def main() -> int:
         raise SystemExit(f"cold run scheduled {scheduled} matches, "
                          f"expected {expected}")
     cold_bytes = (out_dir / "leaderboard.json").read_bytes()
-    cold_objects = objects_snapshot(store_dir)
+    cold_objects = files_snapshot(store_dir / "objects")
+    cold_outputs = files_snapshot(out_dir)
 
     warm = run_cli(out_dir, store_dir, args.jobs, resume=True)
     print(f"[smoke] cached rerun counters: {warm}")
@@ -100,12 +108,13 @@ def main() -> int:
         raise SystemExit("leaderboard bytes differ between cold run and "
                          "cached replay — determinism contract broken")
 
-    warm_objects = objects_snapshot(store_dir)
-    changed = sorted(str(path.relative_to(store_dir))
-                     for path in set(cold_objects) | set(warm_objects)
-                     if cold_objects.get(path) != warm_objects.get(path))
+    changed = changed_files(cold_objects, files_snapshot(store_dir / "objects"),
+                            store_dir)
     if changed:
         raise SystemExit(f"cached rerun wrote to the store: {changed}")
+    changed = changed_files(cold_outputs, files_snapshot(out_dir), out_dir)
+    if changed:
+        raise SystemExit(f"cached rerun rewrote league outputs: {changed}")
 
     store = ArtifactStore(store_dir)
     problems = store.verify()
@@ -115,8 +124,8 @@ def main() -> int:
     print(f"[smoke] store holds {len(store)} artifacts ({', '.join(map(str, kinds))})")
     print((out_dir / "leaderboard.txt").read_text())
     print(f"[smoke] OK: {expected} matches scheduled once, replay was pure "
-          f"cache hits and wrote nothing to the store, leaderboard bytes "
-          f"identical ({len(cold_bytes)} bytes) -> {out_dir}")
+          f"cache hits and wrote nothing to the store or the output dir, "
+          f"leaderboard bytes identical ({len(cold_bytes)} bytes) -> {out_dir}")
     return 0
 
 

@@ -34,7 +34,8 @@ from .config import ExperimentScale
 __all__ = [
     "ATTACK_NAMES", "parse_attack_name", "victim_for", "victim_config_for",
     "game_victim_for", "attack_config_for", "make_adversary_env",
-    "train_single_agent_attack", "train_game_attack", "evaluate_cell",
+    "train_single_agent_attack", "train_attack", "train_game_attack",
+    "evaluate_cell",
 ]
 
 ATTACK_NAMES = [
@@ -178,8 +179,25 @@ def train_single_agent_attack(env_id: str, victim: ActorCritic, attack: str,
                               **config_overrides) -> AttackResult | None:
     """Train one attack against one victim; None for non-learned attacks.
 
+    The attack config comes from ``scale`` and ``seed`` (plus
+    ``config_overrides``); everything else is :func:`train_attack`.
+    """
+    return train_attack(env_id, victim, attack,
+                        attack_config_for(scale, seed, **config_overrides),
+                        epsilon=epsilon, n_envs=n_envs, callback=callback,
+                        store=store, use_cache=use_cache)
+
+
+def train_attack(env_id: str, victim: ActorCritic, attack: str,
+                 config: AttackConfig, epsilon: float | None = None,
+                 n_envs: int = 1, callback=None,
+                 store: ArtifactStore | None = None,
+                 use_cache: bool = True) -> AttackResult | None:
+    """Train ``attack`` with ``config`` against ``victim``; None for random.
+
     ``n_envs > 1`` collects each PPO batch from that many env copies via
-    the vectorized rollout collector (same samples per iteration).
+    the vectorized rollout collector (same samples per iteration).  The
+    adversary env is seeded with ``config.seed``.
 
     Results are cached in the artifact store; a cache hit skips training
     entirely.  Passing a ``callback`` disables the cache — a callback
@@ -189,7 +207,6 @@ def train_single_agent_attack(env_id: str, victim: ActorCritic, attack: str,
     epsilon = default_epsilon(env_id) if epsilon is None else epsilon
     if spec["family"] == "random":
         return None
-    config = attack_config_for(scale, seed, **config_overrides)
     cacheable = use_cache and callback is None
     if cacheable:
         store = store if store is not None else default_store()
@@ -198,7 +215,7 @@ def train_single_agent_attack(env_id: str, victim: ActorCritic, attack: str,
         cached = _load_cached_attack(store, key_spec)
         if cached is not None:
             return cached
-    adv_env = make_adversary_env(env_id, victim, epsilon, seed=seed,
+    adv_env = make_adversary_env(env_id, victim, epsilon, seed=config.seed,
                                  n_envs=n_envs)
     if spec["family"] == "sarl":
         result = train_sarl(adv_env, config, callback=callback)

@@ -122,6 +122,17 @@ def _pick_counter_pair(outcomes: list[MatchOutcome],
     return worst, scored_attacks[0][1]
 
 
+def _write_if_changed(path: Path, data: bytes) -> None:
+    """Write ``data`` unless ``path`` already holds exactly these bytes,
+    so a replay leaves the output directory untouched."""
+    try:
+        if path.read_bytes() == data:
+            return
+    except OSError:
+        pass
+    path.write_bytes(data)
+
+
 def run_league(config: LeagueConfig, store: ArtifactStore | None = None,
                out_dir: str | Path | None = None, jobs: int = 1,
                pool=None, fabric_dir: str | Path | None = None,
@@ -136,8 +147,8 @@ def run_league(config: LeagueConfig, store: ArtifactStore | None = None,
     out_dir.mkdir(parents=True, exist_ok=True)
     # The resume record: `league --resume OUT_DIR` reconstructs the
     # config from this file, so the rematch keys line up exactly.
-    (out_dir / "league.json").write_text(
-        canonical_json({"key": key, "config": config_to_doc(config)}) + "\n")
+    _write_if_changed(out_dir / "league.json", (canonical_json(
+        {"key": key, "config": config_to_doc(config)}) + "\n").encode())
 
     result = LeagueResult(key=key, config=config, out_dir=out_dir)
     entrants = [base_entrant(config, name) for name in config.victims]
@@ -197,10 +208,10 @@ def run_league(config: LeagueConfig, store: ArtifactStore | None = None,
                                 outcomes, k=config.elo_k,
                                 initial=config.initial_rating)
         data = leaderboard_bytes(doc)
-        (out_dir / f"leaderboard-round{round_index:03d}.json").write_bytes(data)
-        (out_dir / "leaderboard.json").write_bytes(data)
+        _write_if_changed(out_dir / f"leaderboard-round{round_index:03d}.json", data)
+        _write_if_changed(out_dir / "leaderboard.json", data)
         rendered = render_leaderboard(doc)
-        (out_dir / "leaderboard.txt").write_text(rendered + "\n")
+        _write_if_changed(out_dir / "leaderboard.txt", (rendered + "\n").encode())
         store.put({"kind": "league_leaderboard", "league": key,
                    "round": round_index},
                   {"leaderboard": np.frombuffer(data, dtype=np.uint8)},

@@ -16,7 +16,6 @@ import numpy as np
 from .. import nn
 from ..nn import Tensor
 from ..nn import functional as F
-from ..telemetry import profiled
 from .health import check_finite, clip_checked_gradients
 from .policy import ActorCritic
 
@@ -60,10 +59,10 @@ class PPOUpdater:
         self.optimizer = nn.Adam(policy.parameters(), lr=self.config.learning_rate)
         self._named_parameters = list(policy.named_parameters())
         self.extra_loss = extra_loss
-        # Optional repro.telemetry.Telemetry; @profiled reads it per call.
+        # Optional repro.telemetry.Telemetry: times each update as
+        # "ppo.update" and records the loss gauges.
         self.telemetry = telemetry
 
-    @profiled("ppo.update")
     def update(self, batch: dict[str, np.ndarray], tau: float = 0.0,
                rng: np.random.Generator | None = None) -> dict[str, float]:
         """Run minibatch epochs on a finished rollout batch.
@@ -71,6 +70,12 @@ class PPOUpdater:
         ``tau`` is the intrinsic temperature τ_k; 0 recovers vanilla PPO.
         Returns diagnostics (mean losses, approximate KL).
         """
+        if self.telemetry is None:
+            return self._update(batch, tau, rng)
+        with self.telemetry.timer("ppo.update"):
+            return self._update(batch, tau, rng)
+
+    def _update(self, batch, tau, rng) -> dict[str, float]:
         cfg = self.config
         rng = rng or np.random.default_rng()
         n = len(batch["obs"])

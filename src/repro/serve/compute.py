@@ -9,8 +9,8 @@ stream progress to the client), and returns the JSON-safe payload.
 
 Victims and trained attacks are themselves content-addressed artifacts
 (the PR 3 zoo/attack caches), so only genuinely novel work trains
-anything; the evaluation phase always runs through the *same* canonical
-:func:`~repro.serve.batcher.batched_evaluate` the in-server lane uses,
+anything; the evaluation phase always runs through the *same*
+:func:`~repro.eval.lockstep.evaluate_lockstep` the in-server lane uses,
 which is what makes the spec → result mapping lane-independent.
 """
 
@@ -24,18 +24,12 @@ from ..attacks import AttackConfig, RandomAttackPolicy
 from ..attacks.threat_models import default_epsilon
 from ..defenses import DefenseTrainConfig
 from ..envs import make
-from ..experiments.runner import (
-    _load_cached_attack,
-    _store_attack,
-    attack_spec,
-    make_adversary_env,
-    parse_attack_name,
-)
+from ..eval.lockstep import evaluate_lockstep
+from ..experiments.runner import train_attack
 from ..rl.health import NumericalDivergence
 from ..store import ArtifactStore
 from ..telemetry import JsonlEventSink, Telemetry, use_telemetry
 from ..zoo import get_victim
-from .batcher import run_batched_evaluate
 from .protocol import normalize_request, request_spec
 from .request_cache import RequestCache
 
@@ -92,9 +86,12 @@ def _apply_fault(fault: dict | None) -> None:
     raise ValueError(f"unknown fault kind {kind!r}")
 
 
-def _attack_policy(normalized: dict, victim, store: ArtifactStore,
-                   telemetry=None):
-    """None (clean), a random-noise policy, or a (cached) trained adversary."""
+def _attack_policy(normalized: dict, victim, store: ArtifactStore):
+    """None (clean), a random-noise policy, or a (cached) trained adversary.
+
+    A learned attack is the experiment runner's artifact: same trainer,
+    same store key, so a table cell and a serve request share it.
+    """
     kind = normalized["attack"]["kind"]
     if kind == "none":
         return None
@@ -103,29 +100,12 @@ def _attack_policy(normalized: dict, victim, store: ArtifactStore,
         return RandomAttackPolicy(probe.observation_space.shape[0],
                                   seed=normalized["eval"]["seed"])
     attack = normalized["attack"]
-    epsilon = normalized["threat"]["epsilon"]
     config = AttackConfig(iterations=attack["iterations"],
                           steps_per_iteration=attack["steps_per_iteration"],
                           seed=attack["seed"])
-    key_spec = attack_spec("attack", normalized["env_id"], kind, config,
-                           victim, epsilon=epsilon, n_envs=1)
-    cached = _load_cached_attack(store, key_spec)
-    if cached is not None:
-        return cached.policy
-    spec = parse_attack_name(kind)
-    adv_env = make_adversary_env(normalized["env_id"], victim, epsilon,
-                                 seed=attack["seed"])
-    if spec["family"] == "sarl":
-        from ..attacks import train_sarl
-
-        result = train_sarl(adv_env, config)
-    else:
-        from ..attacks import train_imap
-
-        result = train_imap(adv_env, spec["regularizer"], config,
-                            use_bias_reduction=spec["use_br"])
-    _store_attack(store, key_spec, result, config)
-    return result.policy
+    return train_attack(normalized["env_id"], victim, kind, config,
+                        epsilon=normalized["threat"]["epsilon"],
+                        store=store).policy
 
 
 def compute_request(request: dict, store_root: str,
@@ -163,8 +143,7 @@ def compute_request(request: dict, store_root: str,
                 seed=normalized["victim"]["seed"], store=store)
             if telemetry is not None:
                 telemetry.event("serve.phase", payload={"phase": "attack"})
-            attack_policy = _attack_policy(normalized, victim, store,
-                                           telemetry=telemetry)
+            attack_policy = _attack_policy(normalized, victim, store)
 
             if telemetry is not None:
                 telemetry.event("serve.phase", payload={"phase": "evaluate"})
@@ -175,14 +154,13 @@ def compute_request(request: dict, store_root: str,
                         "episodes_done": done, "episodes": total})
 
             threat = normalized["threat"]
-            evaluation = run_batched_evaluate(
+            evaluation = evaluate_lockstep(
                 lambda: make(normalized["env_id"]), victim,
                 episodes=normalized["eval"]["episodes"],
                 seed=normalized["eval"]["seed"],
                 attack_policy=attack_policy,
                 epsilon=threat.get("epsilon", 0.0),
                 norm=threat.get("norm", "linf"),
-                telemetry=telemetry,
                 on_progress=on_progress)
             payload = cache.store_result(spec, evaluation,
                                          metadata={"lane": "worker"})

@@ -11,10 +11,12 @@ One submission flows through four layers:
    the first creates an in-flight future keyed by content address,
    the rest await it.
 3. **Schedule** — a genuine miss is computed on one of two lanes that
-   produce bit-identical results (both run the canonical batched
-   evaluator): the *inline* lane evaluates warm, training-free requests
-   in-process with micro-batched forward passes; everything that needs
-   training (or fault injection) goes to a persistent
+   produce bit-identical results (both run
+   :func:`~repro.eval.lockstep.evaluate_lockstep`): the *inline* lane
+   evaluates warm, training-free requests in-process on a helper thread,
+   so the event loop keeps answering other requests meanwhile;
+   everything that needs training (or fault injection) goes to a
+   persistent
    :class:`~repro.runtime.pool.WorkerPool` worker via
    :func:`~repro.runtime.scheduler.run_parallel` — deadline kills,
    retries, and the ``error_kind`` taxonomy included, without paying a
@@ -37,6 +39,7 @@ from pathlib import Path
 
 from ..attacks import RandomAttackPolicy
 from ..envs import make
+from ..eval.lockstep import evaluate_lockstep
 from ..rl.policy import ActorCritic
 from ..runtime.pool import WorkerPool
 from ..runtime.scheduler import Job, run_parallel
@@ -44,7 +47,6 @@ from ..runtime import classify_exception
 from ..store import ArtifactStore, spec_key
 from ..telemetry import MetricsRegistry, Telemetry
 from ..zoo.train import _load_cached, training_env_factory
-from .batcher import batched_evaluate
 from .compute import compute_request, victim_store_spec, victim_train_config
 from .protocol import ProtocolError, normalize_request, request_spec
 from .request_cache import RequestCache
@@ -56,8 +58,8 @@ __all__ = ["ServeConfig", "ServeError", "EvalService"]
 class ServeConfig:
     """Service policy knobs (transport-independent)."""
 
-    # Evaluate training-free requests with a warm victim in-process,
-    # micro-batching their forward passes.  Off → everything is a job.
+    # Evaluate training-free requests with a warm victim in-process (on a
+    # helper thread).  Off → everything is a job.
     inline_eval: bool = True
     # Worker processes in the service's pool (created lazily on the
     # first scheduled job and reused for every later one).
@@ -282,19 +284,21 @@ class EvalService:
                                                seed=normalized["eval"]["seed"])
         threat = normalized["threat"]
         env_id = normalized["env_id"]
+        loop = asyncio.get_running_loop()
 
         def on_progress(done: int, total: int) -> None:
-            emit({"event": "progress", "key": key,
-                  "payload": {"episodes_done": done, "episodes": total}})
+            # Runs on the evaluation thread; emit on the loop's.
+            loop.call_soon_threadsafe(emit, {
+                "event": "progress", "key": key,
+                "payload": {"episodes_done": done, "episodes": total}})
 
-        evaluation = await batched_evaluate(
-            lambda: make(env_id), victim,
+        evaluation = await asyncio.to_thread(
+            evaluate_lockstep, lambda: make(env_id), victim,
             episodes=normalized["eval"]["episodes"],
             seed=normalized["eval"]["seed"],
             attack_policy=attack_policy,
             epsilon=threat.get("epsilon", 0.0),
             norm=threat.get("norm", "linf"),
-            telemetry=self.telemetry,
             on_progress=on_progress)
         return self.cache.store_result(spec, evaluation,
                                        metadata={"lane": "inline"})

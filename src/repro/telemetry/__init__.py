@@ -1,4 +1,4 @@
-"""Telemetry subsystem: run manifests, metrics, JSONL events, profiling.
+"""Telemetry subsystem: run manifests, metrics, JSONL events, timers.
 
 Layering (each usable on its own):
 
@@ -15,8 +15,8 @@ Layering (each usable on its own):
    atomic temp-file + ``os.replace`` writes.
 5. :mod:`~repro.telemetry.run` — the per-run ``Telemetry`` facade plus
    the ambient-telemetry contextvar (``use_telemetry``) that lets the
-   experiments CLI instrument training loops without parameter plumbing.
-6. :mod:`~repro.telemetry.profiling` — ``@profiled`` method decorator.
+   experiments CLI instrument training loops without parameter plumbing;
+   ``Telemetry.timer(name)`` times a block.
 
 Telemetry is opt-in everywhere: hot paths take ``telemetry=None`` and
 fall back to the ambient context; with neither set they run at baseline
@@ -34,7 +34,6 @@ from .events import (
 )
 from .manifest import EVENTS_NAME, MANIFEST_NAME, RunManifest, package_versions
 from .metrics import Counter, EwmaTimer, Gauge, Histogram, MetricsRegistry
-from .profiling import profiled
 from .run import Telemetry, current_telemetry, use_telemetry
 
 __all__ = [
@@ -43,6 +42,5 @@ __all__ = [
     "read_jsonl", "strip_perf",
     "RunManifest", "package_versions", "MANIFEST_NAME", "EVENTS_NAME",
     "Counter", "Gauge", "EwmaTimer", "Histogram", "MetricsRegistry",
-    "profiled",
     "Telemetry", "use_telemetry", "current_telemetry",
 ]

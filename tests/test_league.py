@@ -166,6 +166,28 @@ class TestLeagueReplay:
         assert state["leaderboard"].tobytes() == (
             tmp_path / "out" / "leaderboard.json").read_bytes()
 
+    def test_replay_leaves_the_out_dir_untouched(self, tmp_path):
+        config = LeagueConfig(**SMALL)
+        store = ArtifactStore(tmp_path / "store")
+        out = tmp_path / "out"
+        run_league(config, store=store, out_dir=out)
+
+        def snapshot():
+            return {path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+                    for path in sorted(out.iterdir())}
+
+        before = snapshot()
+        assert set(before) == {"league.json", "leaderboard-round000.json",
+                               "leaderboard.json", "leaderboard.txt"}
+        time.sleep(0.01)  # a rewrite would move st_mtime_ns
+        run_league(config, store=store, out_dir=out)
+        assert snapshot() == before
+
+        # A damaged output file is rewritten by the next replay.
+        (out / "leaderboard.txt").write_text("stale\n")
+        run_league(config, store=store, out_dir=out)
+        assert (out / "leaderboard.txt").read_bytes() == before["leaderboard.txt"][0]
+
     def test_pool_lane_matches_inline_bytes(self, tmp_path):
         """Same league, fresh stores, different lanes -> same bytes."""
         from repro.runtime import WorkerPool

@@ -11,9 +11,16 @@ taxonomy; and the socket server streams the documented event sequence.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import sys
+import threading
 
 import pytest
 
+from repro import envs
+from repro.attacks import AttackConfig, RandomAttackPolicy
+from repro.eval import evaluate_lockstep
+from repro.experiments import SCALES, runner
 from repro.serve import (
     EvalService,
     LocalClient,
@@ -21,13 +28,17 @@ from repro.serve import (
     ServeClient,
     ServeConfig,
     ServeError,
+    compute_request,
     normalize_request,
     request_key,
     request_spec,
 )
+from repro.serve import service as service_module
+from repro.serve.compute import victim_train_config
 from repro.serve.server import serve_forever
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, spec_key, state_fingerprint
 from repro.telemetry import Telemetry
+from repro.zoo import get_victim
 
 TINY = {
     "env_id": "Hopper-v0",
@@ -48,6 +59,16 @@ def make_service(tmp_path, **config) -> EvalService:
 
 def counter(service: EvalService, name: str) -> float:
     return service.metrics.counter(name).value
+
+
+def train_victim(store: ArtifactStore, request: dict):
+    """Train (or load) the request's victim into ``store`` in-process."""
+    normalized = normalize_request(request)
+    victim = normalized["victim"]
+    return get_victim(normalized["env_id"], victim["defense"],
+                      config=victim_train_config(normalized),
+                      budget_tag=victim["budget_tag"], seed=victim["seed"],
+                      store=store)
 
 
 def strip_flags(payload: dict) -> dict:
@@ -179,6 +200,69 @@ class TestLanes:
         entry = service.store.entry_by_key(key)
         assert entry.metadata["lane"] == "inline"
 
+    def test_cached_request_returns_during_inline_evaluation(self, tmp_path,
+                                                              monkeypatch):
+        """The inline lane evaluates off the event loop: a store hit
+        submitted while it runs is answered before it finishes."""
+        service = make_service(tmp_path)
+        train_victim(service.store, TINY)
+        release = threading.Event()
+        evaluate = service_module.evaluate_lockstep
+
+        def held_evaluate(*args, **kwargs):
+            assert release.wait(30), "inline evaluation was never released"
+            return evaluate(*args, **kwargs)
+
+        async def main():
+            await service.submit(TINY)  # inline, fills the store
+            monkeypatch.setattr(service_module, "evaluate_lockstep",
+                                held_evaluate)
+            started = asyncio.Event()
+            slow = asyncio.create_task(service.submit(
+                dict(TINY, eval={"episodes": 2, "seed": 4}),
+                on_event=lambda e: e["event"] == "scheduled" and started.set()))
+            await asyncio.wait_for(started.wait(), 10)
+            cached = await asyncio.wait_for(service.submit(TINY), 10)
+            still_running = not slow.done()
+            release.set()
+            return cached, still_running, await slow
+
+        cached, still_running, slow = asyncio.run(main())
+        assert cached["cached"]
+        assert still_running
+        assert not slow["cached"]
+        assert counter(service, "serve.inline_evals") == 2
+        assert counter(service, "serve.scheduled_jobs") == 0
+
+    def test_concurrent_inline_evaluations_match_serial_ones(self, tmp_path):
+        """Inline evaluations run on threads that share one victim; each
+        result must equal the same evaluation run alone."""
+        service = make_service(tmp_path)
+        victim = train_victim(service.store, TINY)
+        requests = [dict(TINY, attack={"kind": "random"},
+                         eval={"episodes": 2, "seed": seed})
+                    for seed in range(6)]
+
+        async def main():
+            return await asyncio.wait_for(asyncio.gather(
+                *[service.submit(request) for request in requests]), 60)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            payloads = asyncio.run(main())
+        finally:
+            sys.setswitchinterval(interval)
+        assert counter(service, "serve.inline_evals") == len(requests)
+        obs_dim = envs.make("Hopper-v0").observation_space.shape[0]
+        for request, payload in zip(requests, payloads):
+            seed = request["eval"]["seed"]
+            alone = evaluate_lockstep(
+                lambda: envs.make("Hopper-v0"), victim, episodes=2, seed=seed,
+                attack_policy=RandomAttackPolicy(obs_dim, seed=seed),
+                epsilon=normalize_request(request)["threat"]["epsilon"])
+            assert payload["episode_rewards"] == alone.episode_rewards
+
     def test_inline_disabled_always_schedules(self, tmp_path):
         service = make_service(tmp_path, inline_eval=False)
         key = service.store.key_for(request_spec(normalize_request(TINY)))
@@ -212,6 +296,40 @@ class TestLanes:
         events = asyncio.run(main())
         lanes = [e["lane"] for e in events if e["event"] == "scheduled"]
         assert lanes == ["worker"]
+
+    def test_served_attack_is_the_runners_artifact(self, tmp_path,
+                                                   monkeypatch):
+        """An attack trained for a request is a store hit, under the same
+        key, for the experiment runner given the same config."""
+        store = ArtifactStore(tmp_path / "store")
+        request = dict(TINY, attack={"kind": "imap-pc", "iterations": 1,
+                                     "steps_per_iteration": 64, "seed": 2})
+        compute_request(request, str(store.root))
+        victim = train_victim(store, request)  # a store hit by now
+        epsilon = normalize_request(request)["threat"]["epsilon"]
+        key = spec_key(runner.attack_spec(
+            "attack", "Hopper-v0", "imap-pc",
+            AttackConfig(iterations=1, steps_per_iteration=64, seed=2),
+            victim, epsilon=epsilon, n_envs=1))
+        entry = store.entry_by_key(key)
+        assert entry is not None
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("the runner retrained a served attack")
+
+        monkeypatch.setattr(runner, "train_imap", no_training)
+        scale = dataclasses.replace(SCALES["smoke"], attack_iterations=1,
+                                    steps_per_iteration=64)
+        telemetry = Telemetry.in_memory()
+        store = ArtifactStore(store.root, telemetry=telemetry)
+        result = runner.train_single_agent_attack(
+            "Hopper-v0", victim, "imap-pc", scale, seed=2, epsilon=epsilon,
+            store=store)
+        assert telemetry.metrics.counter("store.hits").value == 1
+        state, hit = store.get(entry.spec)
+        assert hit.key == key
+        assert (state_fingerprint(result.policy.checkpoint_state())
+                == state_fingerprint(state))
 
 
 class TestFaults:

@@ -1,4 +1,4 @@
-"""Telemetry subsystem: metrics, events, manifests, profiling, wiring."""
+"""Telemetry subsystem: metrics, events, manifests, timers, wiring."""
 
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from repro.telemetry import (
     Telemetry,
     current_telemetry,
     package_versions,
-    profiled,
     read_jsonl,
     use_telemetry,
 )
@@ -239,16 +238,7 @@ class TestRunManifest:
         assert versions["numpy"] == np.__version__
 
 
-# --- facade + profiling -------------------------------------------------
-
-
-class _Profiled:
-    def __init__(self, telemetry=None):
-        self.telemetry = telemetry
-
-    @profiled("work")
-    def work(self, x):
-        return x * 2
+# --- facade ---------------------------------------------------------------
 
 
 class TestTelemetryFacade:
@@ -267,15 +257,6 @@ class TestTelemetryFacade:
             clock.tick(2.5)
         assert timer.seconds == 2.5
         assert t.metrics.ewma("stage").ewma == 2.5
-
-    def test_profiled_records_when_telemetry_present(self):
-        t = Telemetry.in_memory(clock=ManualClock(0.0, auto_tick=0.5))
-        obj = _Profiled(t)
-        assert obj.work(3) == 6
-        assert t.metrics.ewma("work").count == 1
-
-    def test_profiled_passthrough_without_telemetry(self):
-        assert _Profiled(None).work(3) == 6
 
     def test_ambient_context(self):
         assert current_telemetry() is None
