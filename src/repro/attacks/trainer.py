@@ -14,13 +14,14 @@ from pathlib import Path
 import numpy as np
 
 from ..envs.core import Env
-from ..rl.buffers import RolloutBuffer
+from ..rl.buffers import gae_batch
 from ..rl.health import check_finite
 from ..rl.policy import ActorCritic
 from ..rl.ppo import PPOUpdater
-from ..runtime.vec_env import VectorEnv
+from ..runtime import collector
+from ..runtime.vec_env import SyncVectorEnv, VectorEnv
 from ..telemetry import current_telemetry
-from .base import AdversaryRollout, AttackConfig, AttackResult, knn_feature
+from .base import AdversaryRollout, AttackConfig, AttackResult
 
 __all__ = ["collect_adversary_rollout", "AdversaryTrainer", "record_rollout_telemetry"]
 
@@ -28,12 +29,11 @@ CHECKPOINT_KIND = "adversary"
 
 
 def record_rollout_telemetry(telemetry, rollout: AdversaryRollout,
-                             seconds: float, collector: str) -> None:
-    """Shared rollout instrumentation for the serial and vectorized collectors.
+                             seconds: float, n_envs: int) -> None:
+    """Rollout instrumentation for one adversary batch from ``n_envs`` lanes.
 
     The event payload holds only seed-deterministic episode statistics;
-    steps/sec and the collector flavour live under ``perf`` so serial and
-    ``n_envs=1`` vectorized runs produce identical payloads.
+    steps/sec and the lane count live under ``perf``.
     """
     n = len(rollout)
     telemetry.metrics.observe_duration("rollout.collect", seconds)
@@ -51,7 +51,7 @@ def record_rollout_telemetry(telemetry, rollout: AdversaryRollout,
         # None, not inf: an injected zero-elapsed clock would otherwise
         # put "Infinity" in JSONL lines, which RFC 8259 forbids.
         "steps_per_s": n / seconds if seconds > 0 else None,
-        "collector": collector,
+        "collector": f"vec{n_envs}",
     })
 
 
@@ -59,117 +59,27 @@ def collect_adversary_rollout(env: Env, policy: ActorCritic, n_steps: int,
                               rng: np.random.Generator,
                               update_normalizer: bool = True,
                               telemetry=None) -> AdversaryRollout:
-    """Collect ``n_steps`` of adversary experience, tracking KNN features."""
-    start = telemetry.clock.perf() if telemetry is not None else 0.0
-    obs_dim = env.observation_space.shape[0]
-    action_dim = env.action_space.shape[0]
-    buffer = RolloutBuffer(n_steps, obs_dim, action_dim)
-    knn_victim: list[np.ndarray] = []
-    knn_adversary: list[np.ndarray] = []
-    episode_rewards: list[float] = []
-    episode_victim_rewards: list[float] = []
-    episode_successes: list[bool] = []
-
-    obs = env.reset()
-    ep_reward, ep_victim, ep_success = 0.0, 0.0, False
-    while not buffer.full:
-        action, log_prob, value_e, value_i, normalized = policy.act(
-            obs, rng, update_normalizer=update_normalizer
-        )
-        next_obs, reward, terminated, truncated, info = env.step(action)
-        done = terminated or truncated
-        ep_reward += reward
-        ep_victim += float(info.get("victim_reward", 0.0))
-        ep_success = ep_success or bool(info.get("success", False))
-        buffer.add(normalized, action, log_prob, reward, value_e, value_i,
-                   done=done, terminated=terminated)
-        knn_victim.append(knn_feature(info, "knn_victim", obs_dim))
-        knn_adversary.append(knn_feature(info, "knn_adversary", obs_dim))
-        index = buffer.ptr - 1
-        if done:
-            if not terminated:
-                _, _, be, bi, _ = policy.act(next_obs, rng,
-                                             update_normalizer=update_normalizer)
-                buffer.set_bootstrap(index, be, bi)
-            episode_rewards.append(ep_reward)
-            episode_victim_rewards.append(ep_victim)
-            episode_successes.append(ep_success)
-            obs = env.reset()
-            ep_reward, ep_victim, ep_success = 0.0, 0.0, False
-        else:
-            obs = next_obs
-            if buffer.full:
-                _, _, be, bi, _ = policy.act(obs, rng,
-                                             update_normalizer=update_normalizer)
-                buffer.set_bootstrap(index, be, bi)
-
-    n = buffer.ptr
-    rollout = AdversaryRollout(
-        obs=buffer.obs[:n].copy(),
-        actions=buffer.actions[:n].copy(),
-        log_probs=buffer.log_probs[:n].copy(),
-        rewards=buffer.rewards_e[:n].copy(),
-        values_e=buffer.values_e[:n].copy(),
-        values_i=buffer.values_i[:n].copy(),
-        dones=buffer.dones[:n].copy(),
-        terminated=buffer.terminated[:n].copy(),
-        bootstrap_e=buffer.bootstrap_e[:n].copy(),
-        bootstrap_i=buffer.bootstrap_i[:n].copy(),
-        knn_victim=np.asarray(knn_victim),
-        knn_adversary=np.asarray(knn_adversary),
-        episode_rewards=episode_rewards,
-        episode_victim_rewards=episode_victim_rewards,
-        episode_successes=episode_successes,
-    )
-    if telemetry is not None:
-        record_rollout_telemetry(telemetry, rollout,
-                                 telemetry.clock.perf() - start, "serial")
-    return rollout
-
-
-def _rollout_to_batch(rollout: AdversaryRollout, intrinsic: np.ndarray | None,
-                      gamma: float, lam: float) -> dict[str, np.ndarray]:
-    """Rebuild a PPO batch (with GAE) from an AdversaryRollout."""
-    from ..rl.buffers import compute_gae
-
-    n = len(rollout)
-    boot_e = rollout.bootstrap_e.copy()
-    boot_i = rollout.bootstrap_i.copy()
-    for t in range(n - 1):
-        if rollout.dones[t] < 0.5:
-            boot_e[t] = rollout.values_e[t + 1]
-            boot_i[t] = rollout.values_i[t + 1]
-    boot_e[rollout.terminated >= 0.5] = 0.0
-    boot_i[rollout.terminated >= 0.5] = 0.0
-    boundary = rollout.dones.copy()
-    boundary[-1] = 1.0
-
-    adv_e, ret_e = compute_gae(rollout.rewards, rollout.values_e, boundary, boot_e, gamma, lam)
-    rewards_i = intrinsic if intrinsic is not None else np.zeros(n)
-    adv_i, ret_i = compute_gae(rewards_i, rollout.values_i, boundary, boot_i, gamma, lam)
-    return {
-        "obs": rollout.obs,
-        "actions": rollout.actions,
-        "log_probs": rollout.log_probs,
-        "advantages_e": adv_e,
-        "advantages_i": adv_i,
-        "returns_e": ret_e,
-        "returns_i": ret_i,
-    }
+    """Collect ``n_steps`` of adversary experience from ``env`` as one lane."""
+    return collector.collect_adversary_rollout_vec(
+        SyncVectorEnv([env]), policy, n_steps, rng,
+        update_normalizer=update_normalizer, telemetry=telemetry)
 
 
 class AdversaryTrainer:
     """PPO loop over an adversary MDP with optional intrinsic regularizer.
 
-    ``env`` may be a plain :class:`~repro.envs.core.Env` (serial
-    collection) or a :class:`~repro.runtime.vec_env.VectorEnv`, in which
-    case each iteration's batch is filled from all lanes with batched
-    policy forwards (same total sample count per iteration).
+    ``env`` may be a plain :class:`~repro.envs.core.Env`, collected as a
+    one-lane :class:`~repro.runtime.vec_env.SyncVectorEnv`, or a
+    :class:`~repro.runtime.vec_env.VectorEnv`, in which case each
+    iteration's batch is filled from all lanes with batched policy
+    forwards (same total sample count per iteration).  Checkpoints
+    capture the RNGs of ``env`` as passed.
     """
 
     def __init__(self, env: Env | VectorEnv, config: AttackConfig, regularizer=None,
                  name: str = "attack", telemetry=None):
         self.env = env
+        self._lanes = env if isinstance(env, VectorEnv) else SyncVectorEnv([env])
         self.config = config
         self.regularizer = regularizer
         self.name = name
@@ -191,13 +101,8 @@ class AdversaryTrainer:
         self._best_state: dict | None = None
 
     def _collect(self, n_steps: int) -> AdversaryRollout:
-        if isinstance(self.env, VectorEnv):
-            from ..runtime.collector import collect_adversary_rollout_vec
-
-            return collect_adversary_rollout_vec(self.env, self.policy, n_steps,
-                                                 self.rng, telemetry=self.telemetry)
-        return collect_adversary_rollout(self.env, self.policy, n_steps, self.rng,
-                                         telemetry=self.telemetry)
+        return collector.collect_adversary_rollout_vec(
+            self._lanes, self.policy, n_steps, self.rng, telemetry=self.telemetry)
 
     def _bias_reduction_step(self, j_ap: float) -> None:
         """λ_{k+1} = max(0, λ_k − η (J_k+1 − J_k)); τ = 1/(1+λ) (Eq. 16-17)."""
@@ -294,11 +199,11 @@ class AdversaryTrainer:
                 # ablation: one mixed-reward channel instead of Eq. 14's
                 # separate Â_E + τ Â_I estimation
                 rollout.rewards = rollout.rewards + self.tau * intrinsic
-                batch = _rollout_to_batch(rollout, None, cfg.ppo.gamma, cfg.ppo.gae_lambda)
+                batch = gae_batch(rollout, cfg.ppo.gamma, cfg.ppo.gae_lambda)
                 diag = self.updater.update(batch, tau=0.0, rng=self.rng)
             else:
-                batch = _rollout_to_batch(rollout, intrinsic, cfg.ppo.gamma,
-                                          cfg.ppo.gae_lambda)
+                batch = gae_batch(rollout, cfg.ppo.gamma, cfg.ppo.gae_lambda,
+                                  intrinsic)
                 diag = self.updater.update(batch, tau=self.tau, rng=self.rng)
             if self.regularizer is not None:
                 if telemetry is not None:

@@ -10,9 +10,9 @@ from .base import DefenseTrainConfig, defense_names, get_defense, register_defen
 from .detection import DetectionReport, DynamicsModel, ForesightDetector
 from .perturbed_training import (
     FgsmPerturbation,
+    PerturbedVictim,
     PolicyPerturbation,
     RandomNoisePerturbation,
-    collect_rollout_with_perturbation,
     train_with_perturbation,
 )
 from .smoothing import adversarial_smoothness_loss, fgsm_perturbation, random_smoothness_loss
@@ -21,6 +21,6 @@ __all__ = [
     "DefenseTrainConfig", "get_defense", "register_defense", "defense_names",
     "random_smoothness_loss", "adversarial_smoothness_loss", "fgsm_perturbation",
     "RandomNoisePerturbation", "FgsmPerturbation", "PolicyPerturbation",
-    "collect_rollout_with_perturbation", "train_with_perturbation",
+    "PerturbedVictim", "train_with_perturbation",
     "ForesightDetector", "DynamicsModel", "DetectionReport",
 ]

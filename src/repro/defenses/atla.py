@@ -9,52 +9,28 @@ ATLA-SA additionally applies the SA smoothness regularizer to the victim
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..attacks.base import AttackConfig
 from ..attacks.sarl import train_sarl
 from ..attacks.threat_models import StatePerturbationEnv
-from ..rl.buffers import RolloutBuffer
 from ..rl.policy import ActorCritic
-from ..rl.ppo import PPOUpdater
 from .base import DefenseTrainConfig, register_defense
-from .perturbed_training import PolicyPerturbation, collect_rollout_with_perturbation
+from .perturbed_training import PerturbedTraining, PolicyPerturbation
 from .sa_regularizer import make_sa_loss
 
-__all__ = ["train_atla", "train_atla_sa", "collect_perturbed_rollout"]
-
-
-def collect_perturbed_rollout(env, victim: ActorCritic, adversary, epsilon: float,
-                              buffer: RolloutBuffer, rng: np.random.Generator) -> float:
-    """Collect victim experience with a learned adversary corrupting
-    observations (thin wrapper over the shared perturbed-rollout collector)."""
-    perturbation = (
-        PolicyPerturbation(adversary, epsilon, rng) if adversary is not None else None
-    )
-    return collect_rollout_with_perturbation(env, victim, perturbation, buffer, rng)
+__all__ = ["train_atla", "train_atla_sa"]
 
 
 def _train_atla_impl(env_factory, config: DefenseTrainConfig, use_sa: bool) -> ActorCritic:
-    rng = np.random.default_rng(config.seed)
-    env = env_factory()
-    env.seed(config.seed)
-    obs_dim = env.observation_space.shape[0]
-    action_dim = env.action_space.shape[0]
-    victim = ActorCritic(obs_dim, action_dim, hidden_sizes=config.hidden_sizes,
-                         rng=np.random.default_rng(config.seed))
     extra = make_sa_loss(config.epsilon, config.regularizer_weight, config.seed) if use_sa else None
-    updater = PPOUpdater(victim, config.ppo, extra_loss=extra)
-    buffer = RolloutBuffer(config.steps_per_iteration, obs_dim, action_dim)
-
+    run = PerturbedTraining(env_factory, config, extra_loss=extra)
     phases = max(1, config.atla_phases)
     victim_iters = max(1, config.iterations // phases)
     adversary = None
     for phase in range(phases):
         # Victim phase: learn under the current attacker's perturbations.
-        for _ in range(victim_iters):
-            collect_perturbed_rollout(env, victim, adversary, config.epsilon, buffer, rng)
-            batch = buffer.finish(config.ppo.gamma, config.ppo.gae_lambda)
-            updater.update(batch, rng=rng)
+        run.train(None if adversary is None
+                  else PolicyPerturbation(adversary, config.epsilon, run.rng),
+                  victim_iters)
         # Attacker phase: retrain SA-RL against the updated victim.
         attack_cfg = AttackConfig(
             iterations=config.atla_adversary_iterations,
@@ -62,11 +38,11 @@ def _train_atla_impl(env_factory, config: DefenseTrainConfig, use_sa: bool) -> A
             hidden_sizes=config.hidden_sizes,
             seed=config.seed + 100 + phase,
         )
-        adv_env = StatePerturbationEnv(env_factory(), victim, epsilon=config.epsilon,
+        adv_env = StatePerturbationEnv(env_factory(), run.victim, epsilon=config.epsilon,
                                        victim_deterministic=False)
         adversary = train_sarl(adv_env, attack_cfg).policy
-    victim.freeze_normalizer()
-    return victim
+    run.victim.freeze_normalizer()
+    return run.victim
 
 
 @register_defense("atla")

@@ -11,6 +11,12 @@ its loss term.  The perturbation models:
 * ``FgsmPerturbation``         — per-state one-step worst case (RADIAL /
   WocaR's bound surrogate);
 * ``PolicyPerturbation``       — a learned SA-RL attacker (ATLA).
+
+Training collects with :func:`~repro.runtime.collector.collect_lanes`,
+the loop every trainer uses, over a one-lane ``SyncVectorEnv``; the
+policy it drives is a :class:`PerturbedVictim` view, which adds the
+perturbation and keeps this module's own bootstrap rule (critic only).
+:class:`PerturbedTraining` holds what a run carries across ATLA's phases.
 """
 
 from __future__ import annotations
@@ -18,16 +24,19 @@ from __future__ import annotations
 import numpy as np
 
 from ..attacks.threat_models import project_perturbation
-from ..rl.buffers import RolloutBuffer
+from ..rl.buffers import gae_batch
 from ..rl.policy import ActorCritic
 from ..rl.ppo import PPOUpdater
+from ..runtime.collector import collect_lanes
+from ..runtime.vec_env import SyncVectorEnv
 from .base import DefenseTrainConfig
 
 __all__ = [
     "RandomNoisePerturbation",
     "FgsmPerturbation",
     "PolicyPerturbation",
-    "collect_rollout_with_perturbation",
+    "PerturbedVictim",
+    "PerturbedTraining",
     "train_with_perturbation",
 ]
 
@@ -69,41 +78,66 @@ class PolicyPerturbation:
         return project_perturbation(raw, self.epsilon)
 
 
-def collect_rollout_with_perturbation(env, victim: ActorCritic, perturbation,
-                                      buffer: RolloutBuffer,
-                                      rng: np.random.Generator) -> float:
-    """On-policy collection where the victim sees perturbed observations.
+class PerturbedVictim:
+    """Collector view of a victim that acts on perturbed observations.
 
-    Stores the perturbed inputs (what the network consumed), keeping the
-    PPO update on-policy.  Returns the mean episode return.
+    A step normalizes the observation (updating the normalizer), adds
+    ``perturbation(victim, normalized)`` if there is one, and acts on,
+    and stores, the sum, so the PPO update stays on-policy.  A cut's value
+    is the critic alone on the clean normalized observation: no draw and
+    no normalizer update, even with ``perturbation=None``.  One lane only,
+    on the 1-D row: a ``(1, d)`` matmul (FGSM's too) may change bits.
     """
-    obs = env.reset()
-    returns, ep_return = [], 0.0
-    buffer.reset()
-    while not buffer.full:
-        normalized = victim.normalize(obs, update=True)
-        if perturbation is not None:
-            normalized = normalized + perturbation(victim, normalized)
-        action, log_prob, value, _ = victim.act_normalized(normalized, rng)
-        next_obs, reward, terminated, truncated, info = env.step(action)
-        done = terminated or truncated
-        ep_return += reward
-        buffer.add(normalized, action, float(log_prob), reward, float(value),
-                   done=done, terminated=terminated)
-        index = buffer.ptr - 1
-        if done:
-            if not terminated:
-                nxt = victim.normalize(next_obs)
-                buffer.set_bootstrap(index, float(victim.critic.infer(nxt).item()))
-            returns.append(ep_return)
-            ep_return = 0.0
-            obs = env.reset()
-        else:
-            obs = next_obs
-            if buffer.full:
-                nxt = victim.normalize(obs)
-                buffer.set_bootstrap(index, float(victim.critic.infer(nxt).item()))
-    return float(np.mean(returns)) if returns else ep_return
+
+    def __init__(self, victim: ActorCritic, perturbation=None):
+        self.victim = victim
+        self.perturbation = perturbation
+
+    @staticmethod
+    def _row(obs: np.ndarray) -> np.ndarray:
+        if len(obs) != 1:
+            raise ValueError(f"PerturbedVictim collects one lane, got {len(obs)}")
+        return obs[0]
+
+    def act_batch(self, obs: np.ndarray, rng: np.random.Generator,
+                  update_normalizer: bool = True):
+        victim = self.victim
+        normalized = victim.normalize(self._row(obs), update=update_normalizer)
+        if self.perturbation is not None:
+            normalized = normalized + self.perturbation(victim, normalized)
+        action, log_prob, value_e, value_i = victim.act_normalized(normalized, rng)
+        return (action[None], log_prob[None], value_e[None], value_i[None],
+                normalized[None])
+
+    def bootstrap_values(self, obs: np.ndarray, rng: np.random.Generator,
+                         update_normalizer: bool = True):
+        value = self.victim.critic.infer(self.victim.normalize(self._row(obs)))
+        return value, np.zeros(1)
+
+
+class PerturbedTraining:
+    """A victim, its PPO updater, env and loop RNG, trained in phases:
+    one :meth:`train` call per perturbation model (ATLA: per attacker)."""
+
+    def __init__(self, env_factory, config: DefenseTrainConfig, extra_loss=None):
+        self.config = config
+        self.rng = np.random.default_rng(config.seed)
+        env = env_factory()
+        env.seed(config.seed)
+        self.lanes = SyncVectorEnv([env])
+        self.victim = ActorCritic(env.observation_space.shape[0],
+                                  env.action_space.shape[0],
+                                  hidden_sizes=config.hidden_sizes,
+                                  rng=np.random.default_rng(config.seed))
+        self.updater = PPOUpdater(self.victim, config.ppo, extra_loss=extra_loss)
+
+    def train(self, perturbation, iterations: int) -> None:
+        cfg = self.config
+        policy = PerturbedVictim(self.victim, perturbation)
+        for _ in range(iterations):
+            rollout = collect_lanes(self.lanes, policy, cfg.steps_per_iteration, self.rng)
+            self.updater.update(gae_batch(rollout, cfg.ppo.gamma, cfg.ppo.gae_lambda),
+                                rng=self.rng)
 
 
 def train_with_perturbation(env_factory, config: DefenseTrainConfig,
@@ -113,19 +147,7 @@ def train_with_perturbation(env_factory, config: DefenseTrainConfig,
     ``perturbation_builder(rng) -> callable | None`` builds the
     perturbation model once training starts.
     """
-    rng = np.random.default_rng(config.seed)
-    env = env_factory()
-    env.seed(config.seed)
-    obs_dim = env.observation_space.shape[0]
-    action_dim = env.action_space.shape[0]
-    victim = ActorCritic(obs_dim, action_dim, hidden_sizes=config.hidden_sizes,
-                         rng=np.random.default_rng(config.seed))
-    updater = PPOUpdater(victim, config.ppo, extra_loss=extra_loss)
-    buffer = RolloutBuffer(config.steps_per_iteration, obs_dim, action_dim)
-    perturbation = perturbation_builder(rng)
-    for _ in range(config.iterations):
-        collect_rollout_with_perturbation(env, victim, perturbation, buffer, rng)
-        batch = buffer.finish(config.ppo.gamma, config.ppo.gae_lambda)
-        updater.update(batch, rng=rng)
-    victim.freeze_normalizer()
-    return victim
+    run = PerturbedTraining(env_factory, config, extra_loss)
+    run.train(perturbation_builder(run.rng), config.iterations)
+    run.victim.freeze_normalizer()
+    return run.victim

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RolloutBuffer", "compute_gae"]
+__all__ = ["RolloutBuffer", "compute_gae", "gae_batch"]
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, terminated: np.ndarray,
@@ -30,13 +30,48 @@ def compute_gae(rewards: np.ndarray, values: np.ndarray, terminated: np.ndarray,
     return advantages, returns
 
 
-class RolloutBuffer:
-    """Fixed-size on-policy rollout with extrinsic + intrinsic channels.
+def gae_batch(rollout, gamma: float, lam: float,
+              intrinsic: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """The PPO batch, with per-channel GAE, of a collected rollout.
 
-    Intrinsic rewards may be filled in *after* collection (IMAP computes
-    the bonus from KNN density over the finished batch) via
-    :meth:`set_intrinsic_rewards`.
+    ``rollout`` is what :func:`repro.runtime.collector.collect_lanes`
+    returns.  A step bootstraps from the next stored value within an
+    episode, from zero at a termination, and from its ``bootstrap_*``
+    value at a truncation or lane end.  ``intrinsic`` (e.g. IMAP's KNN
+    bonus) defaults to zeros.
     """
+    n = len(rollout)
+    if intrinsic is not None and np.shape(intrinsic) != (n,):
+        raise ValueError(f"expected intrinsic rewards of shape ({n},), "
+                         f"got {np.shape(intrinsic)}")
+    boot_e = rollout.bootstrap_e.copy()
+    boot_i = rollout.bootstrap_i.copy()
+    for t in range(n - 1):
+        if rollout.dones[t] < 0.5:
+            boot_e[t] = rollout.values_e[t + 1]
+            boot_i[t] = rollout.values_i[t + 1]
+    boot_e[rollout.terminated >= 0.5] = 0.0
+    boot_i[rollout.terminated >= 0.5] = 0.0
+    # The end of the batch and truncations stop the recursion too.
+    boundary = rollout.dones.copy()
+    boundary[-1] = 1.0
+
+    adv_e, ret_e = compute_gae(rollout.rewards, rollout.values_e, boundary, boot_e, gamma, lam)
+    rewards_i = intrinsic if intrinsic is not None else np.zeros(n)
+    adv_i, ret_i = compute_gae(rewards_i, rollout.values_i, boundary, boot_i, gamma, lam)
+    return {
+        "obs": rollout.obs,
+        "actions": rollout.actions,
+        "log_probs": rollout.log_probs,
+        "advantages_e": adv_e,
+        "advantages_i": adv_i,
+        "returns_e": ret_e,
+        "returns_i": ret_i,
+    }
+
+
+class RolloutBuffer:
+    """Fixed-size storage for one lane of on-policy experience."""
 
     def __init__(self, capacity: int, obs_dim: int, action_dim: int):
         self.capacity = capacity
@@ -44,7 +79,6 @@ class RolloutBuffer:
         self.actions = np.zeros((capacity, action_dim))
         self.log_probs = np.zeros(capacity)
         self.rewards_e = np.zeros(capacity)
-        self.rewards_i = np.zeros(capacity)
         self.values_e = np.zeros(capacity)
         self.values_i = np.zeros(capacity)
         # done[t]: 1 if the episode ended after step t (either way);
@@ -55,15 +89,12 @@ class RolloutBuffer:
         self.bootstrap_i = np.zeros(capacity)
         self.ptr = 0
 
-    def __len__(self) -> int:
-        return self.ptr
-
     @property
     def full(self) -> bool:
         return self.ptr >= self.capacity
 
     def add(self, obs, action, log_prob, reward_e, value_e, value_i=0.0,
-            reward_i=0.0, done=False, terminated=False) -> None:
+            done=False, terminated=False) -> None:
         if self.full:
             raise RuntimeError("rollout buffer is full")
         i = self.ptr
@@ -71,58 +102,13 @@ class RolloutBuffer:
         self.actions[i] = action
         self.log_probs[i] = log_prob
         self.rewards_e[i] = reward_e
-        self.rewards_i[i] = reward_i
         self.values_e[i] = value_e
         self.values_i[i] = value_i
         self.dones[i] = float(done)
         self.terminated[i] = float(terminated)
         self.ptr += 1
 
-    def set_intrinsic_rewards(self, rewards: np.ndarray) -> None:
-        rewards = np.asarray(rewards, dtype=np.float64)
-        if rewards.shape != (self.ptr,):
-            raise ValueError(f"expected shape ({self.ptr},), got {rewards.shape}")
-        self.rewards_i[: self.ptr] = rewards
-
     def set_bootstrap(self, index: int, value_e: float, value_i: float = 0.0) -> None:
         """Record V(s_{t+1}) for a step (used at truncations and buffer end)."""
         self.bootstrap_e[index] = value_e
         self.bootstrap_i[index] = value_i
-
-    def finish(self, gamma: float, lam: float) -> dict[str, np.ndarray]:
-        """Compute per-channel advantages/returns; returns the training batch."""
-        n = self.ptr
-        # Default bootstrap: next stored value (same trajectory); zero at
-        # terminations; explicit values at truncations/buffer end were set
-        # via set_bootstrap.
-        boot_e = self.bootstrap_e[:n].copy()
-        boot_i = self.bootstrap_i[:n].copy()
-        for t in range(n - 1):
-            if self.dones[t] < 0.5:
-                boot_e[t] = self.values_e[t + 1]
-                boot_i[t] = self.values_i[t + 1]
-        boot_e[self.terminated[:n] >= 0.5] = 0.0
-        boot_i[self.terminated[:n] >= 0.5] = 0.0
-
-        # Treat the end of the buffer / truncations as boundaries for the
-        # recursion (terminated OR truncated stops flow-through).
-        boundary = self.dones[:n].copy()
-        boundary[-1] = 1.0
-        adv_e, ret_e = compute_gae(self.rewards_e[:n], self.values_e[:n], boundary,
-                                   boot_e, gamma, lam)
-        adv_i, ret_i = compute_gae(self.rewards_i[:n], self.values_i[:n], boundary,
-                                   boot_i, gamma, lam)
-        return {
-            "obs": self.obs[:n],
-            "actions": self.actions[:n],
-            "log_probs": self.log_probs[:n],
-            "advantages_e": adv_e,
-            "advantages_i": adv_i,
-            "returns_e": ret_e,
-            "returns_i": ret_i,
-        }
-
-    def reset(self) -> None:
-        self.ptr = 0
-        self.bootstrap_e[:] = 0.0
-        self.bootstrap_i[:] = 0.0

@@ -43,16 +43,22 @@ class RunningMeanStd:
             batch = batch[None]
         batch_count = batch.shape[0]
         if batch_count == 1:
-            # The serial collector's per-step update: the batch mean is
-            # the row and the variance is (x - x)**2, which is 0 for a
-            # finite x and NaN for NaN/inf, as the general reduction gives.
-            batch_mean = batch[0]
-            deviation = batch_mean - batch_mean
-            batch_var = deviation * deviation
-        else:
-            batch_mean = batch.mean(axis=0)
-            batch_var = batch.var(axis=0)
-
+            # The collector's per-step update: the batch mean is the row and
+            # the variance (x - x)**2, 0 for a finite x and NaN for NaN/inf,
+            # as the general reduction gives.  The general formulas'
+            # products with the batch count are products with 1, which
+            # change no bits, so they are left out.
+            row = batch[0]
+            deviation = row - row
+            delta = row - self.mean
+            count, total = self.count, self.count + 1
+            self.mean = self.mean + delta / total
+            self.var = (self.var * count + deviation * deviation
+                        + delta**2 * count / total) / total
+            self.count = total
+            return
+        batch_mean = batch.mean(axis=0)
+        batch_var = batch.var(axis=0)
         delta = batch_mean - self.mean
         total = self.count + batch_count
         new_mean = self.mean + delta * batch_count / total

@@ -96,22 +96,31 @@ class ActorCritic(nn.Module):
 
         ``obs`` has shape (n_envs, obs_dim); returns ``(actions,
         log_probs, values_e, values_i, normalized_obs)`` with a leading
-        n_envs axis each.  A batch of one routes through :meth:`act` so
-        the forward pass and RNG draws are bit-identical to the serial
-        rollout path (the n_envs=1 parity guarantee).
+        n_envs axis each.  A batch of one runs the forward on its 1-D row,
+        so its forward pass and RNG draws are bit-identical to :meth:`act`
+        (plain ``X @ W`` on a (1, d) batch is not).
         """
-        obs = np.asarray(obs, dtype=np.float64)
+        obs = np.asarray(obs)  # normalize() makes it float64
         if obs.ndim != 2:
             raise ValueError(f"act_batch expects (n_envs, obs_dim), got {obs.shape}")
         if obs.shape[0] == 1:
-            action, log_prob, value_e, value_i, normalized = self.act(
-                obs[0], rng, deterministic=deterministic,
-                update_normalizer=update_normalizer)
-            return (action[None].copy(), np.array([log_prob]),
-                    np.array([value_e]), np.array([value_i]), normalized[None].copy())
+            normalized = self.normalize(obs[0], update=update_normalizer)
+            action, log_prob, value_e, value_i = self.act_normalized(
+                normalized, rng, deterministic=deterministic)
+            return (action[None], log_prob[None], value_e[None], value_i[None],
+                    normalized[None])
         normalized = self.normalize(obs, update=update_normalizer)
         return (*self.act_normalized(normalized, rng, deterministic=deterministic),
                 normalized)
+
+    def bootstrap_values(self, obs: np.ndarray, rng: np.random.Generator,
+                         update_normalizer: bool = False):
+        """The collector's values at rollout cuts, one row of ``obs`` each:
+        a full :meth:`act_batch`, so each row draws an action (discarded)
+        and updates the normalizer as a step would."""
+        _, _, values_e, values_i, _ = self.act_batch(
+            obs, rng, update_normalizer=update_normalizer)
+        return values_e, values_i
 
     def action(self, obs: np.ndarray, rng: np.random.Generator,
                deterministic: bool = False) -> np.ndarray:

@@ -1,4 +1,7 @@
-"""Rollout collection and policy evaluation for single-agent Envs."""
+"""Episode statistics and policy evaluation for single-agent Envs.
+
+Training rollouts are collected by :func:`repro.runtime.collector.collect_lanes`.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..envs.core import Env
-from .buffers import RolloutBuffer
 from .policy import ActorCritic
 
-__all__ = ["EpisodeStats", "collect_rollout", "evaluate_policy"]
+__all__ = ["EpisodeStats", "evaluate_policy"]
 
 
 @dataclass
@@ -56,48 +58,6 @@ class EpisodeStats:
 
     def __len__(self) -> int:
         return len(self.returns)
-
-
-def collect_rollout(env: Env, policy: ActorCritic, buffer: RolloutBuffer,
-                    rng: np.random.Generator, update_normalizer: bool = True,
-                    ) -> EpisodeStats:
-    """Fill ``buffer`` with on-policy experience from ``env``.
-
-    The buffer stores *normalized* observations (the exact inputs the
-    policy saw), so PPO updates are consistent even while the normalizer
-    statistics move.
-    """
-    stats = EpisodeStats()
-    obs = env.reset()
-    ep_return, ep_length, ep_success = 0.0, 0, False
-    buffer.reset()
-    while not buffer.full:
-        action, log_prob, value_e, value_i, normalized = policy.act(
-            obs, rng, update_normalizer=update_normalizer
-        )
-        next_obs, reward, terminated, truncated, info = env.step(action)
-        done = terminated or truncated
-        ep_return += reward
-        ep_length += 1
-        ep_success = ep_success or bool(info.get("success", False))
-        buffer.add(normalized, action, log_prob, reward, value_e, value_i,
-                   done=done, terminated=terminated)
-        index = buffer.ptr - 1
-        if done:
-            if not terminated:  # truncation: bootstrap with V(s_next)
-                _, _, be, bi, _ = policy.act(next_obs, rng,
-                                             update_normalizer=update_normalizer)
-                buffer.set_bootstrap(index, be, bi)
-            stats.add(ep_return, ep_length, ep_success)
-            obs = env.reset()
-            ep_return, ep_length, ep_success = 0.0, 0, False
-        else:
-            obs = next_obs
-            if buffer.full:  # buffer ends mid-episode: bootstrap
-                _, _, be, bi, _ = policy.act(obs, rng,
-                                             update_normalizer=update_normalizer)
-                buffer.set_bootstrap(index, be, bi)
-    return stats
 
 
 def evaluate_policy(env: Env, policy: ActorCritic, episodes: int,

@@ -9,11 +9,11 @@ import numpy as np
 
 from ..envs.core import Env
 from ..telemetry import current_telemetry
-from .buffers import RolloutBuffer
+from .buffers import gae_batch
 from .health import check_finite
 from .policy import ActorCritic
 from .ppo import PPOConfig, PPOUpdater
-from .rollout import collect_rollout, evaluate_policy
+from .rollout import evaluate_policy
 
 __all__ = ["TrainConfig", "TrainResult", "train_ppo"]
 
@@ -83,6 +83,8 @@ def train_ppo(env: Env, config: TrainConfig | None = None,
     closures must be stateless across iterations for resume to hold
     (the built-in defenses' regularizers are).
     """
+    from ..runtime.collector import collect_lanes  # runtime imports rl
+    from ..runtime.vec_env import SyncVectorEnv
     from ..store.checkpoint import TrainingCheckpoint, restore_rng_states
 
     config = config or TrainConfig()
@@ -96,7 +98,7 @@ def train_ppo(env: Env, config: TrainConfig | None = None,
                              rng=np.random.default_rng(config.seed))
     updater = PPOUpdater(policy, config.ppo, extra_loss=extra_loss,
                          telemetry=telemetry)
-    buffer = RolloutBuffer(config.steps_per_iteration, obs_dim, action_dim)
+    lanes = SyncVectorEnv([env])
 
     start_iteration = 0
     history: list[dict[str, float]] = []
@@ -112,21 +114,22 @@ def train_ppo(env: Env, config: TrainConfig | None = None,
     for iteration in range(start_iteration, config.iterations):
         if telemetry is not None:
             with telemetry.timer("ppo.rollout") as rollout_timer:
-                stats = collect_rollout(env, policy, buffer, rng)
+                rollout = collect_lanes(lanes, policy, config.steps_per_iteration, rng)
             telemetry.metrics.counter("ppo.env_steps").inc(config.steps_per_iteration)
         else:
-            stats = collect_rollout(env, policy, buffer, rng)
-        batch = buffer.finish(config.ppo.gamma, config.ppo.gae_lambda)
+            rollout = collect_lanes(lanes, policy, config.steps_per_iteration, rng)
+        batch = gae_batch(rollout, config.ppo.gamma, config.ppo.gae_lambda)
         # Divergence raised here (or inside the update's own guards) fires
         # before this iteration checkpoints, so the last on-disk checkpoint
         # is always healthy and a retry can roll back to it.
         check_finite("returns", batch["returns_e"], iteration=iteration)
         diag = updater.update(batch, rng=rng)
+        returns, successes = rollout.episode_rewards, rollout.episode_successes
         record = {
             "iteration": iteration,
-            "mean_return": stats.mean_return if len(stats) else 0.0,
-            "success_rate": stats.success_rate if len(stats) else 0.0,
-            "episodes": float(len(stats)),
+            "mean_return": float(np.mean(returns)) if returns else 0.0,
+            "success_rate": float(np.mean(successes)) if successes else 0.0,
+            "episodes": float(len(returns)),
             **diag,
         }
         history.append(record)

@@ -5,9 +5,11 @@ Layering (each layer usable on its own):
 
 1. :mod:`~repro.runtime.vec_env` — ``VectorEnv``/``SyncVectorEnv`` step
    N seeded env copies in lockstep with auto-reset.
-2. :mod:`~repro.runtime.collector` — ``collect_adversary_rollout_vec``
-   fills one training batch from N lanes with batched policy forwards;
-   bit-identical to the serial collector at ``n_envs=1``.
+2. :mod:`~repro.runtime.collector` — ``collect_lanes`` is the one loop
+   that fills a training batch, from N lanes with batched policy
+   forwards; serial collection is one lane.  ``train_ppo``, the adversary
+   trainer (``collect_adversary_rollout_vec`` adds its telemetry) and
+   perturbed victim training all call it.
 3. :mod:`~repro.runtime.pool` — ``WorkerPool``, the one process lane:
    long-lived supervised workers with per-job timeouts, sweep deadlines,
    heartbeat checks, SIGTERM→SIGKILL kills, and replacement of dead
@@ -23,7 +25,7 @@ Layering (each layer usable on its own):
    by SIGKILLed parents.
 """
 
-from .collector import collect_adversary_rollout_vec, knn_feature
+from .collector import collect_adversary_rollout_vec, collect_lanes, knn_feature
 from .janitor import pid_alive, sweep_stale_pool_dirs
 from .pool import WorkerPool
 from .scheduler import (
@@ -41,7 +43,7 @@ from .vec_env import LANE_SEED_STRIDE, SyncVectorEnv, VectorEnv
 
 __all__ = [
     "VectorEnv", "SyncVectorEnv", "LANE_SEED_STRIDE",
-    "collect_adversary_rollout_vec", "knn_feature",
+    "collect_lanes", "collect_adversary_rollout_vec", "knn_feature",
     "Job", "JobResult", "ScheduleReport", "run_parallel", "derive_job_seeds",
     "compute_backoff", "ERROR_KINDS", "WorkerPool",
     "WorkerTimeout", "classify_exception",

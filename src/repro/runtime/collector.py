@@ -1,19 +1,23 @@
-"""Vectorized rollout collection: N lanes filling one training batch.
+"""Rollout collection: the one loop that fills a training batch.
 
-Drop-in replacement for
-:func:`repro.attacks.trainer.collect_adversary_rollout` that drives a
-:class:`~repro.runtime.vec_env.VectorEnv` with batched policy calls.
-Each lane keeps its own :class:`~repro.rl.buffers.RolloutBuffer` and
-episode accounting; the final batch is assembled lane-major (lane 0's
-block first) so GAE's flow-through bootstrap stays within one
-trajectory.  Lane boundaries that don't coincide with an episode end are
-marked as truncations with an explicitly bootstrapped value — exactly
-how the serial collector treats the end of its buffer.
+:func:`collect_lanes` steps a :class:`~repro.runtime.vec_env.VectorEnv`
+with one batched policy call per step.  ``train_ppo``, the adversary
+trainer and perturbed victim training (SA, RADIAL, WocaR, ATLA) all call
+it; serial collection is a one-lane ``SyncVectorEnv``.
 
-Parity guarantee: with ``n_envs == 1`` and the same seeds, the returned
-:class:`~repro.attacks.base.AdversaryRollout` is bit-identical to the
-serial collector's (policy forwards, RNG draws, and normalizer updates
-happen in the same order on the same shapes).
+Each lane fills its own :class:`~repro.rl.buffers.RolloutBuffer`; the
+step infos are kept and read once, after the loop, for the episode
+statistics and KNN features.  The batch is assembled lane-major (lane
+0's block first) so GAE's flow-through bootstrap stays within one
+trajectory, and a lane end inside an episode is marked as a
+bootstrapped truncation.
+
+The policy provides ``act_batch(obs, rng, update_normalizer=)`` and
+``bootstrap_values(obs, rng, update_normalizer=)``, the values at a cut
+(a truncation or a lane end).  The cut rule is the policy's:
+:class:`~repro.rl.policy.ActorCritic` runs a full ``act_batch`` (a draw
+and a normalizer update), :class:`~repro.defenses.perturbed_training.
+PerturbedVictim` only the critic on the clean normalized observation.
 """
 
 from __future__ import annotations
@@ -22,43 +26,15 @@ import numpy as np
 
 from ..attacks.base import AdversaryRollout, knn_feature
 from ..rl.buffers import RolloutBuffer
-from ..rl.policy import ActorCritic
 from .vec_env import VectorEnv
 
-__all__ = ["collect_adversary_rollout_vec", "knn_feature"]
+__all__ = ["collect_lanes", "collect_adversary_rollout_vec", "knn_feature"]
 
 
-class _Lane:
-    """Per-lane rollout storage and episode accounting."""
-
-    __slots__ = ("buffer", "knn_victim", "knn_adversary", "episode_rewards",
-                 "episode_victim_rewards", "episode_successes",
-                 "ep_reward", "ep_victim", "ep_success")
-
-    def __init__(self, capacity: int, obs_dim: int, action_dim: int):
-        self.buffer = RolloutBuffer(capacity, obs_dim, action_dim)
-        self.knn_victim: list[np.ndarray] = []
-        self.knn_adversary: list[np.ndarray] = []
-        self.episode_rewards: list[float] = []
-        self.episode_victim_rewards: list[float] = []
-        self.episode_successes: list[bool] = []
-        self.ep_reward = 0.0
-        self.ep_victim = 0.0
-        self.ep_success = False
-
-    def finish_episode(self) -> None:
-        self.episode_rewards.append(self.ep_reward)
-        self.episode_victim_rewards.append(self.ep_victim)
-        self.episode_successes.append(self.ep_success)
-        self.ep_reward, self.ep_victim, self.ep_success = 0.0, 0.0, False
-
-
-def collect_adversary_rollout_vec(vec_env: VectorEnv, policy: ActorCritic,
-                                  n_steps: int, rng: np.random.Generator,
-                                  update_normalizer: bool = True,
-                                  telemetry=None) -> AdversaryRollout:
+def collect_lanes(vec_env: VectorEnv, policy, n_steps: int,
+                  rng: np.random.Generator,
+                  update_normalizer: bool = True) -> AdversaryRollout:
     """Collect ``n_steps`` of experience split evenly across the lanes."""
-    start = telemetry.clock.perf() if telemetry is not None else 0.0
     n_envs = vec_env.num_envs
     if n_steps % n_envs != 0:
         raise ValueError(
@@ -67,88 +43,112 @@ def collect_adversary_rollout_vec(vec_env: VectorEnv, policy: ActorCritic,
     steps_per_lane = n_steps // n_envs
     obs_dim = vec_env.observation_space.shape[0]
     action_dim = vec_env.action_space.shape[0]
-    lanes = [_Lane(steps_per_lane, obs_dim, action_dim) for _ in range(n_envs)]
+    buffers = [RolloutBuffer(steps_per_lane, obs_dim, action_dim) for _ in range(n_envs)]
+    step_infos: list[list[dict]] = []
 
     obs = vec_env.reset()
     for _ in range(steps_per_lane):
         actions, log_probs, values_e, values_i, normalized = policy.act_batch(
-            obs, rng, update_normalizer=update_normalizer
-        )
-        next_obs, rewards, terminated, truncated, infos = vec_env.step(actions)
-        for i, lane in enumerate(lanes):
-            done = bool(terminated[i] or truncated[i])
-            lane.ep_reward += float(rewards[i])
-            lane.ep_victim += float(infos[i].get("victim_reward", 0.0))
-            lane.ep_success = lane.ep_success or bool(infos[i].get("success", False))
-            lane.buffer.add(normalized[i], actions[i], log_probs[i], rewards[i],
-                            values_e[i], values_i[i],
-                            done=done, terminated=bool(terminated[i]))
-            lane.knn_victim.append(knn_feature(infos[i], "knn_victim", obs_dim))
-            lane.knn_adversary.append(knn_feature(infos[i], "knn_adversary", obs_dim))
-            if done:
-                lane.finish_episode()
+            obs, rng, update_normalizer=update_normalizer)
+        obs, rewards, terminated, truncated, infos = vec_env.step(actions)
+        step_infos.append(infos)
+        cut = []
+        for i, (buffer, term, trunc) in enumerate(zip(
+                buffers, terminated.tolist(), truncated.tolist())):
+            buffer.add(normalized[i], actions[i], log_probs[i], rewards[i],
+                       values_e[i], values_i[i], done=term or trunc, terminated=term)
+            if trunc and not term:
+                cut.append(i)
         # Bootstrap truncated episodes from their final (pre-reset) obs in
-        # one batched call, in lane order (matches the serial RNG order).
-        trunc_lanes = [i for i in range(n_envs) if truncated[i] and not terminated[i]]
-        if trunc_lanes:
-            final_obs = np.stack([infos[i]["final_obs"] for i in trunc_lanes])
-            _, _, boot_e, boot_i, _ = policy.act_batch(
+        # one batched call, in lane order.
+        if cut:
+            final_obs = np.stack([infos[i]["final_obs"] for i in cut])
+            boot_e, boot_i = policy.bootstrap_values(
                 final_obs, rng, update_normalizer=update_normalizer)
-            for j, i in enumerate(trunc_lanes):
-                lanes[i].buffer.set_bootstrap(lanes[i].buffer.ptr - 1,
-                                              boot_e[j], boot_i[j])
-        obs = next_obs
+            for j, i in enumerate(cut):
+                buffers[i].set_bootstrap(buffers[i].ptr - 1, boot_e[j], boot_i[j])
 
     # Lanes whose last step didn't end an episode bootstrap from the
-    # current observation (the serial collector's buffer-end bootstrap).
-    open_lanes = [i for i in range(n_envs)
-                  if lanes[i].buffer.dones[steps_per_lane - 1] < 0.5]
+    # current observation.
+    open_lanes = [i for i, buffer in enumerate(buffers) if buffer.dones[-1] < 0.5]
     if open_lanes:
-        _, _, boot_e, boot_i, _ = policy.act_batch(
+        boot_e, boot_i = policy.bootstrap_values(
             obs[open_lanes], rng, update_normalizer=update_normalizer)
         for j, i in enumerate(open_lanes):
-            lanes[i].buffer.set_bootstrap(steps_per_lane - 1, boot_e[j], boot_i[j])
+            buffers[i].set_bootstrap(steps_per_lane - 1, boot_e[j], boot_i[j])
+    return _assemble(buffers, step_infos, obs_dim)
 
-    rollout = _assemble(lanes, steps_per_lane)
-    if telemetry is not None:
-        from ..attacks.trainer import record_rollout_telemetry
 
-        record_rollout_telemetry(telemetry, rollout,
-                                 telemetry.clock.perf() - start,
-                                 f"vec{n_envs}")
+def collect_adversary_rollout_vec(vec_env: VectorEnv, policy, n_steps: int,
+                                  rng: np.random.Generator,
+                                  update_normalizer: bool = True,
+                                  telemetry=None) -> AdversaryRollout:
+    """:func:`collect_lanes` for the adversary trainer, with rollout telemetry."""
+    if telemetry is None:
+        return collect_lanes(vec_env, policy, n_steps, rng, update_normalizer)
+    from ..attacks.trainer import record_rollout_telemetry
+
+    start = telemetry.clock.perf()
+    rollout = collect_lanes(vec_env, policy, n_steps, rng, update_normalizer)
+    record_rollout_telemetry(telemetry, rollout, telemetry.clock.perf() - start,
+                             vec_env.num_envs)
     return rollout
 
 
-def _assemble(lanes: list[_Lane], steps_per_lane: int) -> AdversaryRollout:
-    """Concatenate lane blocks into one flat AdversaryRollout."""
+def _assemble(buffers: list[RolloutBuffer], step_infos: list[list[dict]],
+              obs_dim: int) -> AdversaryRollout:
+    """Concatenate the lane blocks, lane 0's first, into one rollout, with
+    each lane's episode statistics and KNN feature streams."""
     dones_blocks = []
-    for i, lane in enumerate(lanes):
-        dones = lane.buffer.dones[:steps_per_lane].copy()
+    episode_rewards: list[float] = []
+    episode_victim_rewards: list[float] = []
+    episode_successes: list[bool] = []
+    for i, buffer in enumerate(buffers):
+        ep_reward, ep_victim, ep_success = 0.0, 0.0, False
+        for reward, done, infos in zip(buffer.rewards_e.tolist(), buffer.dones.tolist(),
+                                       step_infos):
+            info = infos[i]
+            ep_reward += reward
+            ep_victim += float(info.get("victim_reward", 0.0))
+            ep_success = ep_success or bool(info.get("success", False))
+            if done:
+                episode_rewards.append(ep_reward)
+                episode_victim_rewards.append(ep_victim)
+                episode_successes.append(ep_success)
+                ep_reward, ep_victim, ep_success = 0.0, 0.0, False
+        dones = buffer.dones.copy()
         # Interior lane boundaries become truncations so GAE never flows
         # from one lane's block into the next.  The last lane's end is
-        # left untouched: downstream GAE forces a boundary there anyway,
-        # which also keeps the n_envs=1 arrays bit-identical to serial.
-        if i < len(lanes) - 1 and dones[-1] < 0.5:
+        # left untouched: downstream GAE forces a boundary there anyway.
+        if i < len(buffers) - 1:
             dones[-1] = 1.0
         dones_blocks.append(dones)
+    lane_infos = [infos[i] for i in range(len(buffers)) for infos in step_infos]
 
     def cat(field: str) -> np.ndarray:
-        return np.concatenate([getattr(l.buffer, field)[:steps_per_lane] for l in lanes])
+        return np.concatenate([getattr(buffer, field) for buffer in buffers])
 
     return AdversaryRollout(
-        obs=cat("obs").copy(),
-        actions=cat("actions").copy(),
-        log_probs=cat("log_probs").copy(),
-        rewards=cat("rewards_e").copy(),
-        values_e=cat("values_e").copy(),
-        values_i=cat("values_i").copy(),
+        obs=cat("obs"),
+        actions=cat("actions"),
+        log_probs=cat("log_probs"),
+        rewards=cat("rewards_e"),
+        values_e=cat("values_e"),
+        values_i=cat("values_i"),
         dones=np.concatenate(dones_blocks),
-        terminated=cat("terminated").copy(),
-        bootstrap_e=cat("bootstrap_e").copy(),
-        bootstrap_i=cat("bootstrap_i").copy(),
-        knn_victim=np.asarray([f for l in lanes for f in l.knn_victim]),
-        knn_adversary=np.asarray([f for l in lanes for f in l.knn_adversary]),
-        episode_rewards=[r for l in lanes for r in l.episode_rewards],
-        episode_victim_rewards=[r for l in lanes for r in l.episode_victim_rewards],
-        episode_successes=[s for l in lanes for s in l.episode_successes],
+        terminated=cat("terminated"),
+        bootstrap_e=cat("bootstrap_e"),
+        bootstrap_i=cat("bootstrap_i"),
+        knn_victim=_knn_stream(lane_infos, "knn_victim", obs_dim),
+        knn_adversary=_knn_stream(lane_infos, "knn_adversary", obs_dim),
+        episode_rewards=episode_rewards,
+        episode_victim_rewards=episode_victim_rewards,
+        episode_successes=episode_successes,
     )
+
+
+def _knn_stream(infos: list[dict], key: str, dim: int) -> np.ndarray:
+    """Each step's KNN feature ``key``; one zero block when no step has one."""
+    if all(info.get(key) is None for info in infos):
+        return np.zeros((len(infos), dim))
+    return np.asarray([knn_feature(info, key, dim) for info in infos])

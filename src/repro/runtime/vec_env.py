@@ -97,22 +97,20 @@ class SyncVectorEnv(VectorEnv):
 
     def step(self, actions: np.ndarray):
         actions = np.asarray(actions)
-        if len(actions) != self.num_envs:
-            raise ValueError(f"expected {self.num_envs} actions, got {len(actions)}")
-        obs_batch = np.empty((self.num_envs,) + self.observation_space.shape)
-        rewards = np.zeros(self.num_envs)
-        terminated = np.zeros(self.num_envs, dtype=bool)
-        truncated = np.zeros(self.num_envs, dtype=bool)
+        n = self.num_envs
+        if len(actions) != n:
+            raise ValueError(f"expected {n} actions, got {len(actions)}")
+        obs_batch = np.empty((n,) + self.observation_space.shape)
+        rewards = np.empty(n)
+        terminated = np.empty(n, dtype=bool)
+        truncated = np.empty(n, dtype=bool)
         infos: list[dict] = []
         for i, env in enumerate(self.envs):
-            obs, reward, term, trunc, info = env.step(actions[i])
-            if term or trunc:
+            obs, rewards[i], terminated[i], truncated[i], info = env.step(actions[i])
+            if terminated[i] or truncated[i]:
                 info = dict(info)
-                info["final_obs"] = np.asarray(obs, dtype=np.float64).copy()
+                info["final_obs"] = np.array(obs, dtype=np.float64)
                 obs = env.reset()
             obs_batch[i] = obs
-            rewards[i] = reward
-            terminated[i] = term
-            truncated[i] = trunc
             infos.append(info)
         return obs_batch, rewards, terminated, truncated, infos

@@ -15,10 +15,11 @@ from repro.defenses import (
     random_smoothness_loss,
     register_defense,
 )
-from repro.defenses.atla import collect_perturbed_rollout
+from repro.defenses.perturbed_training import PerturbedVictim, PolicyPerturbation
 from repro.defenses.sa_regularizer import make_sa_loss
 from repro.defenses.wocar import make_wocar_loss
-from repro.rl import ActorCritic, RolloutBuffer
+from repro.rl import ActorCritic
+from repro.runtime import SyncVectorEnv, collect_lanes
 
 
 @pytest.fixture
@@ -119,15 +120,22 @@ class TestDefenseTrainers:
         assert victim.normalizer.frozen
 
 
+def collect_perturbed(env, victim, adversary, epsilon, n_steps, rng):
+    """ATLA's victim-phase collection: the adversary (or none) perturbs."""
+    perturbation = (PolicyPerturbation(adversary, epsilon, rng)
+                    if adversary is not None else None)
+    return collect_lanes(SyncVectorEnv([env]), PerturbedVictim(victim, perturbation),
+                         n_steps, rng)
+
+
 class TestPerturbedRollout:
     def test_without_adversary_fills_buffer(self, rng):
         env = envs.make("Hopper-v0")
         env.seed(0)
         victim = ActorCritic(11, 3, hidden_sizes=(8,), rng=rng)
-        buffer = RolloutBuffer(64, 11, 3)
-        mean_ret = collect_perturbed_rollout(env, victim, None, 0.3, buffer, rng)
-        assert buffer.full
-        assert np.isfinite(mean_ret)
+        rollout = collect_perturbed(env, victim, None, 0.3, 64, rng)
+        assert len(rollout) == 64
+        assert np.isfinite(rollout.rewards).all()
 
     def test_with_adversary_perturbs_observations(self, rng):
         env = envs.make("Hopper-v0")
@@ -138,14 +146,12 @@ class TestPerturbedRollout:
             def action(self, obs, rng=None, deterministic=False):
                 return np.ones(11)
 
-        buffer = RolloutBuffer(32, 11, 3)
-        collect_perturbed_rollout(env, victim, BigAttack(), 0.5, buffer, rng)
-        # stored observations include the +0.5 shift from the attack
-        clean_buffer = RolloutBuffer(32, 11, 3)
-        env2 = envs.make("Hopper-v0")
-        env2.seed(0)
         victim2 = ActorCritic(11, 3, hidden_sizes=(8,), rng=np.random.default_rng(12345))
         victim2.load_state_dict(victim.state_dict())
-        collect_perturbed_rollout(env2, victim2, None, 0.5, clean_buffer,
+        rollout = collect_perturbed(env, victim, BigAttack(), 0.5, 32, rng)
+        # stored observations include the +0.5 shift from the attack
+        env2 = envs.make("Hopper-v0")
+        env2.seed(0)
+        clean = collect_perturbed(env2, victim2, None, 0.5, 32,
                                   np.random.default_rng(12345))
-        assert not np.allclose(buffer.obs[0], clean_buffer.obs[0])
+        assert not np.allclose(rollout.obs[0], clean.obs[0])

@@ -117,6 +117,53 @@ class TestComposition:
                               episodes=1, seed=0)
 
 
+class ConstantAttack:
+    """A batched attacker whose raw action is the same vector every step."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def act_batch(self, obs, rng, deterministic=False):
+        actions = np.full(np.shape(obs), self.value)
+        return actions, None, None, None, obs
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "evaluate_lockstep passes normalize(s) + delta to the victim's act_batch, "
+    "which normalizes it again; fixing it changes serve bits and store keys"))
+def test_victim_sees_normalized_state_plus_delta():
+    """The victim's network input is ``normalize(s) + δ``, as in
+    ``StatePerturbationEnv``, not ``normalize(normalize(s) + δ)``."""
+    from repro.attacks.threat_models import project_perturbation
+    from repro.rl import ActorCritic
+
+    victim = ActorCritic(OBS_DIM, 1, hidden_sizes=(4,), rng=np.random.default_rng(0))
+    victim.normalizer(np.random.default_rng(1).normal(2.0, 3.0, (64, OBS_DIM)))
+    victim.freeze_normalizer()
+    inputs = []
+    forward = victim.act_normalized
+
+    def recording(normalized, rng, deterministic=False):
+        inputs.append(np.array(normalized, dtype=np.float64).reshape(-1, OBS_DIM))
+        return forward(normalized, rng, deterministic=deterministic)
+
+    victim.act_normalized = recording
+    lengths = [3, 2]
+    epsilon = 0.25
+    evaluate_lockstep(countdown_factory(lengths), victim, episodes=len(lengths),
+                      seed=0, attack_policy=ConstantAttack(1.0), epsilon=epsilon)
+    delta = project_perturbation(np.ones(OBS_DIM), epsilon)
+    expected = []
+    for t in range(max(lengths)):
+        live = [i for i, n in enumerate(lengths) if n > t]
+        expected.append(np.stack([
+            victim.normalize(np.array([float(i), float(t), 0.0])) + delta
+            for i in live]))
+    assert len(inputs) == len(expected)
+    for seen, want in zip(inputs, expected):
+        np.testing.assert_array_equal(seen, want)
+
+
 class TestEvaluateLockstep:
     def test_deterministic_across_runs(self, tiny_victim):
         kwargs = dict(episodes=3, seed=11)

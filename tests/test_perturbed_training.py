@@ -1,4 +1,4 @@
-"""Perturbation-aware training: models and shared collector."""
+"""Perturbation-aware training: models and the perturbed victim view."""
 
 from __future__ import annotations
 
@@ -10,12 +10,13 @@ from repro.defenses import (
     DefenseTrainConfig,
     FgsmPerturbation,
     PolicyPerturbation,
+    PerturbedVictim,
     RandomNoisePerturbation,
-    collect_rollout_with_perturbation,
     train_with_perturbation,
 )
 from repro.density import ParzenDensityEstimator
-from repro.rl import ActorCritic, RolloutBuffer
+from repro.rl import ActorCritic
+from repro.runtime import SyncVectorEnv, collect_lanes
 
 
 class TestPerturbationModels:
@@ -40,35 +41,44 @@ class TestPerturbationModels:
         np.testing.assert_allclose(delta, np.full(11, 0.3))
 
 
+def collect(env, victim, perturbation, n_steps, rng):
+    return collect_lanes(SyncVectorEnv([env]), PerturbedVictim(victim, perturbation),
+                         n_steps, rng)
+
+
 class TestCollector:
     def test_stores_perturbed_inputs(self, rng):
         env = envs.make("Hopper-v0")
         env.seed(0)
         victim = ActorCritic(11, 3, hidden_sizes=(8,), rng=rng)
-        buffer = RolloutBuffer(32, 11, 3)
 
         class Shift:
             def __call__(self, v, normalized):
                 return np.full_like(normalized, 0.5)
 
-        collect_rollout_with_perturbation(env, victim, Shift(), buffer, rng)
-        env2 = envs.make("Hopper-v0")
-        env2.seed(0)
         victim2 = ActorCritic(11, 3, hidden_sizes=(8,), rng=np.random.default_rng(12345))
         victim2.load_state_dict(victim.state_dict())
-        buffer2 = RolloutBuffer(32, 11, 3)
-        collect_rollout_with_perturbation(env2, victim2, None, buffer2,
-                                          np.random.default_rng(12345))
+        rollout = collect(env, victim, Shift(), 32, rng)
+        env2 = envs.make("Hopper-v0")
+        env2.seed(0)
+        clean = collect(env2, victim2, None, 32, np.random.default_rng(12345))
         # the stored observations differ by construction
-        assert not np.allclose(buffer.obs[0], buffer2.obs[0])
+        assert not np.allclose(rollout.obs[0], clean.obs[0])
+        np.testing.assert_allclose(rollout.obs[0], clean.obs[0] + 0.5)
 
     def test_returns_mean_episode_return(self, rng):
         env = envs.make("FetchReach-v0")
         env.seed(0)
         victim = ActorCritic(10, 3, hidden_sizes=(8,), rng=rng)
-        buffer = RolloutBuffer(150, 10, 3)
-        ret = collect_rollout_with_perturbation(env, victim, None, buffer, rng)
-        assert np.isfinite(ret)
+        rollout = collect(env, victim, None, 150, rng)
+        assert rollout.episode_rewards
+        assert np.isfinite(rollout.episode_rewards).all()
+
+    def test_one_lane_only(self, rng):
+        victim = ActorCritic(11, 3, hidden_sizes=(8,), rng=rng)
+        lanes = SyncVectorEnv([envs.make("Hopper-v0") for _ in range(2)])
+        with pytest.raises(ValueError, match="one lane"):
+            collect_lanes(lanes, PerturbedVictim(victim), 8, rng)
 
 
 class TestTrainWithPerturbation:

@@ -14,12 +14,11 @@ from repro.rl import (
     EpisodeStats,
     PPOConfig,
     PPOUpdater,
-    RolloutBuffer,
     TrainConfig,
-    collect_rollout,
     evaluate_policy,
     train_ppo,
 )
+from repro.runtime import SyncVectorEnv, collect_lanes
 
 
 @pytest.fixture
@@ -159,11 +158,11 @@ class TestRolloutAndTraining:
     def test_collect_rollout_fills_buffer(self, rng):
         env = envs.make("Hopper-v0")
         policy = ActorCritic(11, 3, hidden_sizes=(16,), rng=rng)
-        buffer = RolloutBuffer(100, 11, 3)
         env.seed(0)
-        stats = collect_rollout(env, policy, buffer, rng)
-        assert buffer.full
-        assert isinstance(stats, EpisodeStats)
+        rollout = collect_lanes(SyncVectorEnv([env]), policy, 100, rng)
+        assert len(rollout) == 100 and rollout.obs.shape == (100, 11)
+        assert len(rollout.episode_rewards) == len(rollout.episode_successes)
+        assert rollout.dones.sum() == len(rollout.episode_rewards)
 
     def test_evaluate_policy_counts_episodes(self, rng):
         env = envs.make("FetchReach-v0")

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.attacks.base import AdversaryRollout
 from repro.rl import (
     ObservationNormalizer,
     RewardNormalizer,
     RolloutBuffer,
     RunningMeanStd,
     compute_gae,
+    gae_batch,
 )
 
 
@@ -126,6 +128,19 @@ class TestGAE:
         np.testing.assert_allclose(adv, [9.0])
 
 
+def as_rollout(buf: RolloutBuffer) -> AdversaryRollout:
+    """The filled part of ``buf`` as the rollout ``gae_batch`` reads."""
+    n = buf.ptr
+    return AdversaryRollout(
+        obs=buf.obs[:n], actions=buf.actions[:n], log_probs=buf.log_probs[:n],
+        rewards=buf.rewards_e[:n], values_e=buf.values_e[:n],
+        values_i=buf.values_i[:n], dones=buf.dones[:n],
+        terminated=buf.terminated[:n], bootstrap_e=buf.bootstrap_e[:n],
+        bootstrap_i=buf.bootstrap_i[:n], knn_victim=np.zeros((n, 0)),
+        knn_adversary=np.zeros((n, 0)), episode_rewards=[],
+        episode_victim_rewards=[], episode_successes=[])
+
+
 class TestRolloutBuffer:
     def _fill(self, buffer, n, rng, done_at=()):
         for i in range(n):
@@ -141,10 +156,10 @@ class TestRolloutBuffer:
         with pytest.raises(RuntimeError):
             buf.add(np.zeros(3), np.zeros(2), 0.0, 0.0, 0.0)
 
-    def test_finish_shapes(self, rng):
+    def test_gae_batch_shapes(self, rng):
         buf = RolloutBuffer(8, 3, 2)
         self._fill(buf, 8, rng, done_at=(3,))
-        batch = buf.finish(0.99, 0.95)
+        batch = gae_batch(as_rollout(buf), 0.99, 0.95)
         for key in ("obs", "actions", "log_probs", "advantages_e",
                     "advantages_i", "returns_e", "returns_i"):
             assert len(batch[key]) == 8, key
@@ -152,10 +167,14 @@ class TestRolloutBuffer:
     def test_intrinsic_rewards_injection(self, rng):
         buf = RolloutBuffer(5, 3, 2)
         self._fill(buf, 5, rng)
-        buf.set_intrinsic_rewards(np.arange(5.0))
-        np.testing.assert_array_equal(buf.rewards_i[:5], np.arange(5.0))
+        rollout = as_rollout(buf)
+        # lam 0 on one open episode: adv_i = r_i + V_I(next) - V_I = r_i
+        batch = gae_batch(rollout, 1.0, 0.0, intrinsic=np.arange(5.0))
+        np.testing.assert_allclose(batch["advantages_i"][:4], np.arange(4.0))
+        np.testing.assert_array_equal(gae_batch(rollout, 1.0, 0.0)["advantages_i"][:4],
+                                      np.zeros(4))
         with pytest.raises(ValueError):
-            buf.set_intrinsic_rewards(np.zeros(3))
+            gae_batch(rollout, 1.0, 0.0, intrinsic=np.zeros(3))
 
     def test_termination_zeroes_bootstrap(self, rng):
         buf = RolloutBuffer(2, 1, 1)
@@ -163,7 +182,7 @@ class TestRolloutBuffer:
                 done=True, terminated=True)
         buf.add(np.zeros(1), np.zeros(1), 0.0, reward_e=1.0, value_e=5.0,
                 done=True, terminated=True)
-        batch = buf.finish(1.0, 1.0)
+        batch = gae_batch(as_rollout(buf), 1.0, 1.0)
         # delta = r - V at terminations
         np.testing.assert_allclose(batch["advantages_e"], [-4.0, -4.0])
 
@@ -172,17 +191,8 @@ class TestRolloutBuffer:
         buf.add(np.zeros(1), np.zeros(1), 0.0, reward_e=0.0, value_e=1.0)
         buf.add(np.zeros(1), np.zeros(1), 0.0, reward_e=0.0, value_e=3.0)
         buf.set_bootstrap(1, 7.0)
-        batch = buf.finish(1.0, 0.0)  # lam 0: adv = delta
+        batch = gae_batch(as_rollout(buf), 1.0, 0.0)  # lam 0: adv = delta
         np.testing.assert_allclose(batch["advantages_e"], [2.0, 4.0])
-
-    def test_reset_clears(self, rng):
-        buf = RolloutBuffer(3, 2, 1)
-        self._fill_small(buf)
-        buf.reset()
-        assert len(buf) == 0
-
-    def _fill_small(self, buf):
-        buf.add(np.zeros(2), np.zeros(1), 0.0, 1.0, 0.0)
 
 
 @settings(max_examples=25, deadline=None)

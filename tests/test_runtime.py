@@ -22,6 +22,8 @@ from repro.runtime import (
     run_parallel,
 )
 
+from . import reference_collectors as reference
+
 EPISODE_LEN = 8
 
 
@@ -130,8 +132,8 @@ class TestCollectorParity:
     def test_scripted_env_bit_identical(self, ends_with):
         serial_env = ScriptedEnv(ends_with)
         serial_env.seed(5)
-        serial = collect_adversary_rollout(serial_env, scripted_policy(), 36,
-                                           np.random.default_rng(3))
+        serial = reference.collect_adversary_rollout(serial_env, scripted_policy(), 36,
+                                                     np.random.default_rng(3))
         vec = SyncVectorEnv([ScriptedEnv(ends_with)])
         vec.seed(5)
         vectorized = collect_adversary_rollout_vec(vec, scripted_policy(), 36,
@@ -150,8 +152,8 @@ class TestCollectorParity:
 
         serial_env = adv_env()
         serial_env.seed(5)
-        serial = collect_adversary_rollout(serial_env, policy(serial_env), 192,
-                                           np.random.default_rng(3))
+        serial = reference.collect_adversary_rollout(serial_env, policy(serial_env), 192,
+                                                     np.random.default_rng(3))
         vec = SyncVectorEnv([adv_env()])
         vec.seed(5)
         vectorized = collect_adversary_rollout_vec(vec, policy(vec), 192,
