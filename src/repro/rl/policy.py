@@ -40,8 +40,10 @@ class ActorCritic(nn.Module):
     # ------------------------------------------------------------ observation
 
     def normalize(self, obs: np.ndarray, update: bool = False) -> np.ndarray:
+        """``obs`` in the policy's input space, as a new array: never a view
+        of ``obs``, which a vector env overwrites on its next step."""
         if self.normalizer is None:
-            return np.asarray(obs, dtype=np.float64)
+            return np.array(obs, dtype=np.float64)
         return self.normalizer(obs, update=update)
 
     def freeze_normalizer(self) -> None:

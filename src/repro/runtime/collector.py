@@ -5,12 +5,12 @@ with one batched policy call per step.  ``train_ppo``, the adversary
 trainer and perturbed victim training (SA, RADIAL, WocaR, ATLA) all call
 it; serial collection is a one-lane ``SyncVectorEnv``.
 
-Each lane fills its own :class:`~repro.rl.buffers.RolloutBuffer`; the
-step infos are kept and read once, after the loop, for the episode
-statistics and KNN features.  The batch is assembled lane-major (lane
-0's block first) so GAE's flow-through bootstrap stays within one
-trajectory, and a lane end inside an episode is marked as a
-bootstrapped truncation.
+Each lane fills its own :class:`~repro.rl.buffers.RolloutBuffer` before
+the next step overwrites the env's step arrays; the step infos are kept
+and read once, after the loop, for the episode statistics and KNN
+features.  The batch is assembled lane-major (lane 0's block first) so
+GAE's flow-through bootstrap stays within one trajectory, and a lane end
+inside an episode is marked as a bootstrapped truncation.
 
 The policy provides ``act_batch(obs, rng, update_normalizer=)`` and
 ``bootstrap_values(obs, rng, update_normalizer=)``, the values at a cut
@@ -139,16 +139,12 @@ def _assemble(buffers: list[RolloutBuffer], step_infos: list[list[dict]],
         terminated=cat("terminated"),
         bootstrap_e=cat("bootstrap_e"),
         bootstrap_i=cat("bootstrap_i"),
-        knn_victim=_knn_stream(lane_infos, "knn_victim", obs_dim),
-        knn_adversary=_knn_stream(lane_infos, "knn_adversary", obs_dim),
+        knn_victim=np.asarray([knn_feature(info, "knn_victim", obs_dim)
+                               for info in lane_infos]),
+        knn_adversary=np.asarray([knn_feature(info, "knn_adversary", obs_dim)
+                                  for info in lane_infos]),
         episode_rewards=episode_rewards,
         episode_victim_rewards=episode_victim_rewards,
         episode_successes=episode_successes,
     )
 
-
-def _knn_stream(infos: list[dict], key: str, dim: int) -> np.ndarray:
-    """Each step's KNN feature ``key``; one zero block when no step has one."""
-    if all(info.get(key) is None for info in infos):
-        return np.zeros((len(infos), dim))
-    return np.asarray([knn_feature(info, key, dim) for info in infos])

@@ -55,7 +55,9 @@ class VectorEnv:
         first four are batched arrays and ``infos`` is a list of dicts.
         For a lane whose episode just ended, ``obs[i]`` is the *new*
         episode's initial observation and ``infos[i]["final_obs"]`` holds
-        the last observation of the finished episode.
+        the last observation of the finished episode.  The four arrays
+        belong to the env and the next ``step`` overwrites them: copy what
+        must outlive it.
         """
         raise NotImplementedError
 
@@ -81,6 +83,10 @@ class SyncVectorEnv(VectorEnv):
                 raise ValueError("all lanes must share an observation space")
             if env.action_space.shape != self.action_space.shape:
                 raise ValueError("all lanes must share an action space")
+        n = self.num_envs
+        # step()'s output arrays, refilled by every step.
+        self._outputs = (np.empty((n,) + self.observation_space.shape), np.empty(n),
+                         np.empty(n, dtype=bool), np.empty(n, dtype=bool))
 
     @classmethod
     def from_factory(cls, factory: Callable[[], Env], n_envs: int) -> "SyncVectorEnv":
@@ -97,20 +103,19 @@ class SyncVectorEnv(VectorEnv):
 
     def step(self, actions: np.ndarray):
         actions = np.asarray(actions)
-        n = self.num_envs
-        if len(actions) != n:
-            raise ValueError(f"expected {n} actions, got {len(actions)}")
-        obs_batch = np.empty((n,) + self.observation_space.shape)
-        rewards = np.empty(n)
-        terminated = np.empty(n, dtype=bool)
-        truncated = np.empty(n, dtype=bool)
+        if len(actions) != self.num_envs:
+            raise ValueError(f"expected {self.num_envs} actions, got {len(actions)}")
+        obs_batch, rewards, terminated, truncated = self._outputs
         infos: list[dict] = []
         for i, env in enumerate(self.envs):
-            obs, rewards[i], terminated[i], truncated[i], info = env.step(actions[i])
-            if terminated[i] or truncated[i]:
+            obs, reward, term, trunc, info = env.step(actions[i])
+            if term or trunc:
                 info = dict(info)
                 info["final_obs"] = np.array(obs, dtype=np.float64)
                 obs = env.reset()
             obs_batch[i] = obs
+            rewards[i] = reward
+            terminated[i] = term
+            truncated[i] = trunc
             infos.append(info)
         return obs_batch, rewards, terminated, truncated, infos

@@ -18,6 +18,7 @@ from repro.runtime import (
     Job,
     SyncVectorEnv,
     collect_adversary_rollout_vec,
+    collect_lanes,
     derive_job_seeds,
     run_parallel,
 )
@@ -113,6 +114,19 @@ class TestKnnFeatureFallback:
                                             np.random.default_rng(0))
         assert rollout.knn_victim.shape == (32, 3)
         assert np.all(rollout.knn_victim == 0.0)
+
+
+class TestLaneLoopStepArrays:
+    def test_stores_the_observations_the_policy_saw_without_normalizer(self):
+        # The env's step arrays are overwritten by its next step, so a
+        # policy without a normalizer must not hand back a view of them.
+        vec = SyncVectorEnv([ScriptedEnv()])
+        vec.seed(0)
+        policy = ActorCritic(3, 2, hidden_sizes=(8,), normalize_obs=False,
+                             rng=np.random.default_rng(7))
+        rollout = collect_lanes(vec, policy, 2 * EPISODE_LEN, np.random.default_rng(0))
+        seen = np.tile(np.arange(EPISODE_LEN, dtype=float), 2)
+        np.testing.assert_array_equal(rollout.obs, np.repeat(seen[:, None], 3, axis=1))
 
 
 class TestCollectorParity:
